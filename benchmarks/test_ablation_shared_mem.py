@@ -69,8 +69,8 @@ def test_ablation_fast_path_speedup(bench_layers, bench_options):
     cycle counts, and the sweep beats the event path >= 2.5x (the
     baseline-mode replay carries no LHB, so the ratio is pure
     load/store + cache mask work — measured ~3.3x)."""
-    on = dataclasses.replace(bench_options, fast_path="on")
-    off = dataclasses.replace(bench_options, fast_path="off")
+    on = dataclasses.replace(bench_options, engine="fast")
+    off = dataclasses.replace(bench_options, engine="event")
 
     def sweep(options):
         return {
@@ -100,6 +100,7 @@ def test_ablation_fast_path_speedup(bench_layers, bench_options):
         obs.disable()
     fallbacks = {k: v for k, v in counters.items() if "fallback" in k}
     assert not fallbacks, fallbacks
+    assert "engine.selected.event" not in counters, counters
 
     t0 = time.perf_counter()
     event = sweep(off)

@@ -61,16 +61,16 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     fixture pins).  The first (untimed) run warms the in-process trace
     cache so both timed sweeps compare pure replay work, not trace
     generation.  The fast sweep must produce row-identical results,
-    and — since every assoc in the sweep is now natively covered —
-    must never take the ``fastpath.fallback`` exit.  Streams dominated
+    and — since every assoc in the sweep is natively covered — must
+    be answered by the fast tier throughout.  Streams dominated
     by same-address reuse (e.g. resnet C8) accelerate less — the
     stack-distance pruning has little to cut there — which is why the
     tripwire lives on the flagship subset; their correctness is pinned
     by the equivalence and fuzz suites.
     """
     layers = [get_layer(n, l) for n, l in GOLDEN_LAYERS]
-    on = dataclasses.replace(bench_options, fast_path="on")
-    off = dataclasses.replace(bench_options, fast_path="off")
+    on = dataclasses.replace(bench_options, engine="fast")
+    off = dataclasses.replace(bench_options, engine="event")
 
     figure12(layers, on)  # warm the trace cache
 
@@ -84,6 +84,7 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
         obs.disable()
     fallbacks = {k: v for k, v in counters.items() if "fallback" in k}
     assert not fallbacks, fallbacks
+    assert "engine.selected.event" not in counters, counters
     assert counters.get("fastpath.replays", 0) > 0, counters
 
     exp_event, t_event = _best_of(lambda: figure12(layers, off), 2)

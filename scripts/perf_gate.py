@@ -1,7 +1,7 @@
 """CI perf-regression gate over the not-slow benchmark kernel set.
 
 Runs a fixed suite of micro-benchmarks (trace generation — the
-closed-form synthesizer and the retired per-turn loop generator it
+closed-form synthesizer and the per-turn event-loop oracle it
 replaced — fast- and event-path replays — direct-mapped and 8-way
 set-associative — a PID-tagged multi-kernel shared-LHB replay in both
 implementations, an end-to-end baseline/Duplo pair, a warm-cache sweep
@@ -34,8 +34,8 @@ The check applies three rules, strictest first:
    drift is a correctness regression, not noise;
 2. **derived ratios** (``fast_path_speedup`` /
    ``assoc_fast_path_speedup`` / ``multikernel_fast_path_speedup`` —
-   event replay over fast replay — ``trace_gen_speedup`` — the legacy
-   loop generator over the closed-form synthesizer on the same trace,
+   event replay over fast replay — ``trace_gen_speedup`` — the
+   event-loop oracle over the closed-form synthesizer on the same trace,
    target >= 5x — and ``analytic_speedup`` — a cold
    fast-path query over one warm-profile analytic query, target
    >= 100x — all measured in the same process on the same inputs —
@@ -88,7 +88,7 @@ ANALYTIC_SWEEP_GEOMETRIES = 32
 ANALYTIC_SWEEP_PASSES = 10
 ANALYTIC_SWEEP_QUERIES = ANALYTIC_SWEEP_GEOMETRIES * ANALYTIC_SWEEP_PASSES
 #: Generations per timed run for the two generate-only benchmarks
-#: (closed-form and legacy-loop).  One synthesized trace is ~2 ms —
+#: (closed-form and loop oracle).  One synthesized trace is ~2 ms —
 #: far too short for a stable median on a busy runner — so both
 #: bodies repeat the identical generation; the derived
 #: ``trace_gen_speedup`` divides per-pass cost either way.
@@ -214,29 +214,29 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
         return run, counters
 
     def trace_generation_loop_setup():
-        """Generate-only, via the retired per-turn loop generator.
+        """Generate-only, via the per-turn event-loop oracle.
 
         Same layer and options as ``trace_gen.yolo_c2`` (the
         closed-form synthesizer), so the derived ``trace_gen_speedup``
         divides like for like; identical counters double as a spot
-        check that the legacy path still produces the same trace.
+        check that the oracle still produces the same trace.  The
+        oracle lives with the tests (``tests/trace_oracle.py``), off
+        the production path.
         """
-        from repro.gpu.kernel import TRACE_GEN_ENV
+        if REPO_ROOT not in sys.path:
+            sys.path.insert(0, REPO_ROOT)
+        from tests.trace_oracle import generate_sm_trace_loop
 
         options = SimulationOptions(max_ctas=8)
 
         def run():
-            os.environ[TRACE_GEN_ENV] = "loop"
-            try:
-                for _ in range(TRACE_GEN_PASSES - 1):
-                    generate_sm_trace(
-                        yolo_c2, TITAN_V, BASELINE_KERNEL, options
-                    )
-                return generate_sm_trace(
+            for _ in range(TRACE_GEN_PASSES - 1):
+                generate_sm_trace_loop(
                     yolo_c2, TITAN_V, BASELINE_KERNEL, options
                 )
-            finally:
-                del os.environ[TRACE_GEN_ENV]
+            return generate_sm_trace_loop(
+                yolo_c2, TITAN_V, BASELINE_KERNEL, options
+            )
 
         def counters(trace):
             return {
@@ -710,7 +710,7 @@ def derived_ratios(benchmarks: Dict[str, dict]) -> Dict[str, float]:
         event = benchmarks.get(event_key, {}).get("median_s")
         if fast and event:
             ratios[name] = round(event / fast, 2)
-    # Legacy per-turn loop generator over the closed-form synthesizer
+    # Per-turn loop oracle over the closed-form synthesizer
     # on the identical trace; acceptance target >= 5x.
     loop = benchmarks.get("trace_generation.yolo_c2", {}).get("median_s")
     vectorized = benchmarks.get("trace_gen.yolo_c2", {}).get("median_s")

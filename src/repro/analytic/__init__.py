@@ -12,9 +12,9 @@ replaying a memory trace:
   .LayerStats` from the profile for any covered LHB geometry — exact
   LHB/elimination counters, bounded-error cache traffic
   (:mod:`repro.analytic.model`);
-* :func:`resolve_engine` / :func:`analytic_fallback_reason` implement
-  the engine-tier selection :func:`repro.gpu.simulator.simulate_layer`
-  routes through (:mod:`repro.analytic.engine`);
+* :func:`route` is the one engine-tier router the simulator, the
+  sweep executor and the query service all call
+  (:mod:`repro.analytic.engine`);
 * :func:`validate` is the differential harness holding the model to
   the committed error bounds (:mod:`repro.analytic.validation`).
 
@@ -25,9 +25,10 @@ bound table.
 from repro.analytic.engine import (
     ENGINE_ENV,
     ENGINE_TIERS,
-    analytic_fallback_reason,
+    Route,
+    analytic_gap,
     resolve_engine,
-    supports_analytic,
+    route,
 )
 from repro.analytic.model import AnalyticUnsupported, predict_stats
 from repro.analytic.profile import (
@@ -56,15 +57,16 @@ __all__ = [
     "ENGINE_TIERS",
     "LayerProfile",
     "METRIC_FLOORS",
+    "Route",
     "ValidationCase",
     "ValidationReport",
-    "analytic_fallback_reason",
+    "analytic_gap",
     "clear_profile_cache",
     "layer_profile",
     "predict_stats",
     "prediction_rows",
     "relative_error",
     "resolve_engine",
-    "supports_analytic",
+    "route",
     "validate",
 ]

@@ -1,4 +1,4 @@
-"""Engine-tier selection: analytic vs fast replay vs event replay.
+"""Engine-tier routing: analytic vs fast replay vs event replay.
 
 One simulation request can be answered at three price points:
 
@@ -11,34 +11,37 @@ event      O(trace),      exact reference (per-event state machines)
            Python loop
 =========  =============  ==========================================
 
-:func:`resolve_engine` turns ``SimulationOptions.engine`` plus the
-``$REPRO_ENGINE`` environment override into a requested tier;
-:func:`analytic_fallback_reason` reports why a configuration is
-outside analytic coverage (``None`` = covered), mirroring
-:func:`repro.gpu.fastpath.fast_path_fallback_reason` — every silent
-downgrade is counted under ``analytic.fallback`` (plus an
-``analytic.fallback.<reason>`` label) so a covered configuration
-regressing to a slower tier shows up in metrics.  The tier that
-actually answered is published as ``engine.selected.<tier>``.
+:func:`route` is the one place that decides which tier answers a
+``(kernel, options, mode, lhb_entries, lhb_assoc)`` request.  The
+simulator, the sweep executor (prefilter, cache bypass, streaming,
+pricing) and the query service's coalescing key all call it, so they
+can never disagree.  ``SimulationOptions.engine`` is the only
+selector; ``$REPRO_ENGINE`` overrides it only when the option is left
+at ``"auto"`` — an explicit option always wins.  ``"auto"`` answers
+on the fast tier; ``"analytic"`` answers on the analytic tier where
+covered and falls back to the fast tier elsewhere, with the coverage
+gap reported as :attr:`Route.reason`.
 
-The env override only applies when the option is left at ``"auto"``,
-exactly like ``$REPRO_FAST_PATH`` — an explicit option always wins.
+The simulator publishes the tier that answered as
+``engine.selected.<tier>`` and every analytic → exact downgrade under
+``analytic.fallback`` (plus an ``analytic.fallback.<reason>`` label),
+so a covered configuration regressing to a slower tier shows up in
+metrics.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
-from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import KernelConfig, SimulationOptions
-from repro.gpu.fastpath import fast_path_fallback_reason
 from repro.gpu.ldst import EliminationMode
 
 #: Environment override consulted when ``options.engine == "auto"``:
 #: set ``REPRO_ENGINE=analytic`` / ``fast`` / ``event`` to pin the
-#: tier without rebuilding options objects (the CI engine lanes use
+#: tier without rebuilding options objects (the CI analytic lane uses
 #: exactly this).
 ENGINE_ENV = "REPRO_ENGINE"
 
@@ -46,14 +49,21 @@ ENGINE_ENV = "REPRO_ENGINE"
 ENGINE_TIERS = ("analytic", "fast", "event")
 
 
-def resolve_engine(options: SimulationOptions) -> str:
-    """The requested tier: explicit option, else env, else ``"auto"``.
+@dataclass(frozen=True)
+class Route:
+    """The tier that answers a request.
 
-    ``"auto"`` means "today's exact behaviour" — the caller then runs
-    the legacy fast/event tiering
-    (:func:`repro.gpu.fastpath.resolve_fast_path`), which has its own
-    ``$REPRO_FAST_PATH`` override.
+    ``reason`` names the analytic coverage gap when ``analytic`` was
+    requested but the request falls back to an exact tier (``None``
+    otherwise).
     """
+
+    tier: str
+    reason: Optional[str] = None
+
+
+def resolve_engine(options: SimulationOptions) -> str:
+    """The requested tier: explicit option, else env, else ``"auto"``."""
     if options.engine != "auto":
         return options.engine
     env = os.environ.get(ENGINE_ENV, "").strip().lower()
@@ -62,26 +72,24 @@ def resolve_engine(options: SimulationOptions) -> str:
     return "auto"
 
 
-def analytic_fallback_reason(
+def analytic_gap(
     kernel: KernelConfig,
     options: SimulationOptions,
     mode: EliminationMode,
-    lhb: Optional[LoadHistoryBuffer],
+    lhb_entries: Optional[int],
+    lhb_assoc: int,
 ) -> Optional[str]:
-    """Why this configuration needs an exact tier (``None`` = covered).
+    """Why the analytic tier cannot answer (``None`` = covered).
 
     Coverage is the explicit-GEMM fragment-granularity stream with a
     fresh LHB whose set count is a power of two (or the oracle) —
-    hashed and modular indexing both covered.  Everything else routes
-    to the exact tiering:
+    hashed and modular indexing both covered:
 
     * ``implicit-kernel`` — the implicit-GEMM stream stages through
       shared memory with cooperative input fetches the closed forms
       do not model;
     * ``instruction-granularity`` — the coarser LHB lookup ablation
       consults once per warp instruction, a different consult stream;
-    * ``warm-lhb`` — a caller-supplied buffer that already served
-      accesses (the same residual fallback as the fast path);
     * ``npo2-sets`` — the per-level reuse tables nest only along
       power-of-two set counts.
     """
@@ -89,24 +97,31 @@ def analytic_fallback_reason(
         return "implicit-kernel"
     if options.lhb_granularity != "fragment":
         return "instruction-granularity"
-    if mode is not EliminationMode.BASELINE and lhb is not None:
-        if not lhb.is_fresh():
-            return "warm-lhb"
-        if not lhb.is_oracle:
-            num_sets = lhb.num_sets
-            if num_sets & (num_sets - 1):
-                return "npo2-sets"
+    if mode is EliminationMode.BASELINE or lhb_entries is None:
+        return None
+    num_sets = lhb_entries // max(lhb_assoc, 1)
+    if num_sets <= 0 or num_sets & (num_sets - 1):
+        return "npo2-sets"
     return None
 
 
-def supports_analytic(
+def route(
     kernel: KernelConfig,
     options: SimulationOptions,
     mode: EliminationMode,
-    lhb: Optional[LoadHistoryBuffer],
-) -> bool:
-    """True when the analytic model covers this configuration."""
-    return analytic_fallback_reason(kernel, options, mode, lhb) is None
+    lhb_entries: Optional[int],
+    lhb_assoc: int,
+) -> Route:
+    """The tier that answers this request (pure: touches no metrics)."""
+    engine = resolve_engine(options)
+    if engine == "event":
+        return Route("event")
+    if engine == "analytic":
+        reason = analytic_gap(kernel, options, mode, lhb_entries, lhb_assoc)
+        if reason is None:
+            return Route("analytic")
+        return Route("fast", reason)
+    return Route("fast")
 
 
 def analytic_resolves(
@@ -119,22 +134,13 @@ def analytic_resolves(
     """Would :func:`~repro.gpu.simulator.simulate_layer` answer this
     request analytically?
 
-    The sweep executor consults this *before* touching the result
-    cache: analytic answers are approximate, so they must neither be
+    Analytic answers are approximate, so they must neither be
     persisted under a key an exact tier would later read, nor be
-    served from exact results cached earlier — an analytic sweep
-    always recomputes from the (cheap) profile.  Mirrors
-    :func:`analytic_fallback_reason` for the fresh LHB
-    ``simulate_layer`` builds from ``(lhb_entries, lhb_assoc)``.
+    served from exact results cached earlier.
     """
-    if resolve_engine(options) != "analytic":
-        return False
-    if kernel.implicit or options.lhb_granularity != "fragment":
-        return False
-    if mode is EliminationMode.BASELINE or lhb_entries is None:
-        return True
-    num_sets = lhb_entries // max(lhb_assoc, 1)
-    return num_sets > 0 and not (num_sets & (num_sets - 1))
+    return route(kernel, options, mode, lhb_entries, lhb_assoc).tier == (
+        "analytic"
+    )
 
 
 def count_fallback(reason: str) -> None:

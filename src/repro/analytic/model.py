@@ -48,10 +48,9 @@ from repro.analytic.profile import LayerProfile
 class AnalyticUnsupported(ValueError):
     """Raised when a prediction is requested outside analytic coverage.
 
-    :func:`repro.analytic.engine.analytic_fallback_reason` exists to
-    route these configurations to the exact tiers *before* reaching
-    the model; hitting this exception means a caller skipped the
-    coverage check.
+    :func:`repro.analytic.engine.route` sends these configurations to
+    the exact tiers *before* reaching the model; hitting this
+    exception means a caller skipped the coverage check.
     """
 
 

@@ -360,11 +360,11 @@ _PROFILE_CACHE_LIMIT = 16
 
 
 def _cache_options(options: SimulationOptions) -> SimulationOptions:
-    # Like the trace cache: implementation selectors never change the
+    # Like the trace cache: the engine selector never changes the
     # profile.  Query-side knobs (lifetime, hashed_index) stay in the
     # key — they are cheap to vary and keeping them avoids aliasing
     # surprises if a future field interacts with the stream.
-    return replace(options, fast_path="auto", engine="auto")
+    return replace(options, engine="auto")
 
 
 def layer_profile(

@@ -31,7 +31,7 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import resolve_fast_path, simulate_lhb_stream
+from repro.gpu.fastpath import simulate_lhb_stream
 from repro.gpu.isa import LOAD_A, LOAD_A_SHARED, WORKSPACE_BASE
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode
@@ -121,11 +121,11 @@ def simulate_shared_lhb(
     interleaves co-resident kernels' warps); kernel ``i`` is tagged
     with PID ``i``.
 
-    ``options.fast_path`` selects the replay implementation exactly as
-    in the single-kernel simulator: the vectorised recurrence folds
-    the PID into the tag key and is bit-identical to the event loop on
-    every counter, including against a caller-supplied *warm* ``lhb``
-    (its residency snapshot seeds the recurrence).
+    ``options.engine="event"`` selects the event-by-event reference
+    replay; every other tier runs the vectorised recurrence, which
+    folds the PID into the tag key and is bit-identical to the event
+    loop on every counter, including against a caller-supplied *warm*
+    ``lhb`` (its residency snapshot seeds the recurrence).
     """
     if not specs:
         raise ValueError("need at least one kernel")
@@ -144,7 +144,12 @@ def simulate_shared_lhb(
     ]
     lookups = [len(element) for _, element in streams]
 
-    if resolve_fast_path(options, EliminationMode.DUPLO, lhb):
+    from repro.analytic.engine import route
+
+    tier = route(
+        kernel, options, EliminationMode.DUPLO, lhb_entries, lhb_assoc
+    ).tier
+    if tier != "event":
         batch_i, element_i, pid_i = _interleave(streams, chunk)
         obs.add("fastpath.shared_replays")
         obs.add("fastpath.shared_lookups", int(len(element_i)))

@@ -36,21 +36,12 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import (
-    FAST_PATH_ENV,
-    FastPathUnsupported,
-    fast_path_fallback_reason,
-    replay_trace_fast,
-    resolve_fast_path as _resolve_fast_path,
-    supports_fast_path,
-)
+from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.isa import KernelTrace
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
 from repro.gpu.stats import LayerStats
 from repro.gpu.timing import TimingModel
-
-__all_reexports__ = (FAST_PATH_ENV, FastPathUnsupported, supports_fast_path)
 
 _log = logging.getLogger(__name__)
 
@@ -89,9 +80,9 @@ def _get_trace(
     kernel: KernelConfig,
     options: SimulationOptions,
 ) -> KernelTrace:
-    # fast_path selects the replay implementation, never the trace —
-    # normalise it out so on/off runs share one cached trace.
-    options = replace(options, fast_path="auto")
+    # The engine selects the replay tier, never the trace — normalise
+    # it out so fast and event runs share one cached trace.
+    options = replace(options, engine="auto")
     key = (spec, gpu, kernel, options)
     with _trace_lock:
         trace = _trace_cache.get(key)
@@ -137,7 +128,7 @@ def trace_is_cached(
     sweep executor's cost estimator uses it to price a chunk as
     replay-only versus generate-plus-replay.
     """
-    options = replace(options, fast_path="auto")
+    options = replace(options, engine="auto")
     with _trace_lock:
         return (spec, gpu, kernel, options) in _trace_cache
 
@@ -254,20 +245,15 @@ def simulate_layer(
     retirement (Section V-C).  ``mode=BASELINE`` ignores the LHB
     arguments.
 
-    The ``options.engine`` tier (with its ``$REPRO_ENGINE`` override)
-    picks how the request is answered: the trace-free analytic model
-    where covered, else the exact fast/event replay tiering.  The
-    tier that actually served is published as
-    ``engine.selected.<tier>``; analytic coverage misses are counted
-    under ``analytic.fallback`` — see :mod:`repro.analytic.engine`.
+    The tier comes from :func:`repro.analytic.engine.route`: the
+    trace-free analytic model where requested and covered, else the
+    fast replay, or the event replay when pinned.  The tier that
+    served is published as ``engine.selected.<tier>``; analytic
+    coverage misses are counted under ``analytic.fallback``.
     """
-    from repro.analytic.engine import (
-        analytic_fallback_reason,
-        count_fallback,
-        count_selected,
-        resolve_engine,
-    )
+    from repro.analytic.engine import count_fallback, count_selected, route
 
+    selected = route(kernel, options, mode, lhb_entries, lhb_assoc)
     layer_span = obs.span(
         "sim.layer", layer=spec.qualified_name, mode=mode.value
     )
@@ -278,50 +264,29 @@ def simulate_layer(
                 lhb_entries, lhb_assoc, options.lhb_lifetime,
                 options.lhb_hashed_index,
             )
-        tier = resolve_engine(options)
-        sm_traced = None
-        if tier == "analytic":
-            reason = analytic_fallback_reason(kernel, options, mode, lhb)
-            if reason is None:
-                from repro.analytic.model import predict_stats
-                from repro.analytic.profile import layer_profile
+        if selected.reason is not None:
+            count_fallback(selected.reason)
+        if selected.tier == "analytic":
+            from repro.analytic.model import predict_stats
+            from repro.analytic.profile import layer_profile
 
-                with obs.span(
-                    "sim.replay.analytic", layer=spec.qualified_name
-                ):
-                    profile = layer_profile(spec, mode, gpu, kernel, options)
-                    sm_traced = predict_stats(profile, lhb)
-                meta = profile.meta
-                events = profile.counters.events
-                selected = "analytic"
-            else:
-                count_fallback(reason)
-        if sm_traced is None:
+            with obs.span("sim.replay.analytic", layer=spec.qualified_name):
+                profile = layer_profile(spec, mode, gpu, kernel, options)
+                sm_traced = predict_stats(profile, lhb)
+            meta = profile.meta
+            events = profile.counters.events
+        else:
             trace = _get_trace(spec, gpu, kernel, options)
             meta = trace
             events = int(trace.kind.size)
-            if tier == "event":
-                use_fast = False
-            elif tier == "fast":
-                reason = fast_path_fallback_reason(mode, lhb)
-                use_fast = reason is None
-                if not use_fast:
-                    obs.add("fastpath.fallback")
-                    obs.add(f"fastpath.fallback.{reason}")
-            else:  # "auto", or analytic coverage fallback
-                use_fast = _resolve_fast_path(options, mode, lhb)
-            selected = "fast" if use_fast else "event"
-            if use_fast:
-                with obs.span("sim.replay.fast", layer=spec.qualified_name):
-                    sm_traced = replay_trace_fast(
-                        trace, spec, gpu, options, mode, lhb
-                    )
-            else:
-                with obs.span("sim.replay.event", layer=spec.qualified_name):
-                    sm_traced = replay_trace(
-                        trace, spec, gpu, options, mode, lhb
-                    )
-        count_selected(selected)
+            replay = (
+                replay_trace_fast if selected.tier == "fast" else replay_trace
+            )
+            with obs.span(
+                f"sim.replay.{selected.tier}", layer=spec.qualified_name
+            ):
+                sm_traced = replay(trace, spec, gpu, options, mode, lhb)
+        count_selected(selected.tier)
 
     return _assemble_result(
         spec, mode, sm_traced, meta, events, gpu, options, timing,
@@ -435,9 +400,7 @@ def simulate_layer_streaming(
         if store is not None:
             from repro.runtime.cachekey import trace_key
 
-            digest = trace_key(
-                spec, gpu, kernel, replace(options, fast_path="auto")
-            )
+            digest = trace_key(spec, gpu, kernel, options)
             writer = store.trace_stream_writer(digest, plan.meta(), events)
             blocks = _tee_blocks(blocks, writer)
         try:

@@ -7,18 +7,14 @@ Public surface:
   parallel cutover, and per-chunk venue selection (:data:`BACKENDS`).
 * :class:`SimPoint` / :func:`simulate_point` — the unit of sweep work
   and its get-or-compute entry point.
-* :func:`estimate_trace_events` — the closed-form trace-size estimate
-  the cutover prices chunks with.
 * :class:`DiskCache` / :func:`open_cache` / :func:`default_cache_dir`
   — the content-addressed on-disk store under ``results/cache/``.
-* :func:`trace_key` / :func:`result_key` / :func:`chunk_claim_key` /
-  :data:`CACHE_SALT` — stable content hashes and the code-version
-  salt.
+* :func:`trace_key` / :func:`result_key` / :data:`CACHE_SALT` —
+  stable content hashes and the code-version salt.
 """
 
 from repro.runtime.cachekey import (
     CACHE_SALT,
-    chunk_claim_key,
     result_key,
     trace_key,
 )
@@ -26,7 +22,6 @@ from repro.runtime.executor import (
     BACKENDS,
     SimPoint,
     SweepExecutor,
-    estimate_trace_events,
     simulate_point,
 )
 from repro.runtime.store import (
@@ -45,9 +40,7 @@ __all__ = [
     "DiskCache",
     "SimPoint",
     "SweepExecutor",
-    "chunk_claim_key",
     "default_cache_dir",
-    "estimate_trace_events",
     "open_cache",
     "result_key",
     "simulate_point",

@@ -29,7 +29,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.conv.layer import ConvLayerSpec
 from repro.gpu.config import GPUConfig, KernelConfig, SimulationOptions
@@ -42,19 +42,18 @@ CACHE_SALT = "duplo-runtime-v2"
 
 
 def _replay_invariant(options: SimulationOptions) -> SimulationOptions:
-    """Normalise options fields that cannot change cached artifacts.
+    """Normalise the option that cannot change cached artifacts.
 
-    ``fast_path`` picks the replay *implementation*; both are
+    ``engine`` picks the replay tier; the exact tiers are
     bit-identical (enforced by the equivalence suite), so keying on it
-    would only split the cache and make forced-on/forced-off runs
-    regenerate artifacts they already have.  ``engine`` is normalised
-    for the same reason — but note the stored artifacts are always
-    *exact*: analytic-tier results are approximate and therefore never
-    enter the result cache at all (the executor bypasses get/put for
-    analytically resolved points), so normalising the field can never
-    alias an approximate result into an exact key.
+    would only split the cache.  The stored artifacts are always
+    *exact*: analytic-tier results are approximate and never enter the
+    result cache at all (the executor bypasses get/put for points
+    :func:`repro.analytic.engine.route` sends to the analytic tier),
+    so normalising the field can never alias an approximate result
+    into an exact key.
     """
-    return dataclasses.replace(options, fast_path="auto", engine="auto")
+    return dataclasses.replace(options, engine="auto")
 
 
 def canonical(obj) -> object:
@@ -102,25 +101,6 @@ def trace_key(
             "gpu": canonical(gpu),
             "kernel": canonical(kernel),
             "options": canonical(_replay_invariant(options)),
-        }
-    )
-
-
-def chunk_claim_key(point_keys: Sequence[str]) -> str:
-    """Content hash identifying one sweep chunk for shared-store claims.
-
-    Derived from the (sorted) result keys of the chunk's uncached
-    points, so two hosts running the same sweep against one shared
-    cache directory contend for identical claim keys regardless of
-    chunk submission order — and a chunk whose warm subset differs
-    (because another host already persisted part of it) claims only
-    the remaining work.
-    """
-    return _digest(
-        {
-            "salt": CACHE_SALT,
-            "kind": "claim",
-            "points": sorted(point_keys),
         }
     )
 

@@ -9,16 +9,17 @@ configuration point, exactly like the serial path did.
 Dispatch is *adaptive*.  Pool startup and job pickling are fixed costs
 that dominated small sweeps once per-layer simulation got fast (the
 ``parallel_speedup: 0.58`` regression this module's cutover fixes), so
-the executor prices every chunk first — closed-form event-count
-estimate from the kernel geometry, times a per-event rate for the tier
-that will answer it (fast vectorised replay vs. event-level Python
-loop), plus trace generation when neither the in-process LRU nor the
-disk store holds the trace — and only opens a pool when the estimated
-parallel saving exceeds the pool's startup cost.  Small sweeps run
-inline; the decision picks the *venue* only and can never change
-results.
+when a pool could open at all (``jobs > 1`` and a backend other than
+``serial``) the executor prices every chunk first — the exact event
+count of its trace plan, times a per-event rate for the tier that will
+answer it (fast vectorised replay vs. event-level Python loop), plus
+trace generation when neither the in-process LRU nor the disk store
+holds the trace — and only opens a pool when the estimated parallel
+saving exceeds the pool's startup cost.  Small sweeps run inline;
+``jobs=1`` and ``backend="serial"`` run everything inline unpriced.
+The decision picks the *venue* only and can never change results.
 
-Three worker venues exist (``backend=``):
+Two worker venues exist (``backend=``):
 
 ``threads``
     ``ThreadPoolExecutor`` workers in this process.  The fast tier is
@@ -39,39 +40,29 @@ Three worker venues exist (``backend=``):
     memory-mapping the persisted columnar events so every worker on
     the host shares one copy of the pages through the OS page cache.
 
-``shared-store``
-    Multi-host groundwork: executors on different machines pointed at
-    one cache directory coordinate *purely through the filesystem*.
-    Each chunk is claimed with an atomic ``O_CREAT | O_EXCL`` claim
-    file (:meth:`DiskCache.try_claim`); the winner computes and
-    persists results, losers poll the result keys and adopt them,
-    stealing the chunk if the winner exceeds ``shared_timeout_s``.
-
 ``auto`` picks the venue per chunk (event-tier chunks → processes,
 fast-tier chunks → threads, both pools may run concurrently);
-``serial`` forces inline.
+``serial`` forces inline.  Every tier decision comes from
+:func:`repro.analytic.engine.route` via :meth:`SimPoint.route`.
 
 Cold fast-tier points **stream**: when neither the in-process LRU nor
-the disk store holds a point's trace, :func:`simulate_point` routes it
-through :func:`~repro.gpu.simulator.simulate_layer_streaming` — trace
-blocks flow straight from the closed-form synthesizer into the
-replay's incremental accumulator (and, when a store is attached, into
-its streaming sidecar writer), so a full-network cold sweep never
+the disk store holds a point's trace, the point runs through
+:func:`~repro.gpu.simulator.simulate_layer_streaming` — trace blocks
+flow straight from the closed-form synthesizer into the replay's
+incremental accumulator (and, when a store is attached, into its
+streaming sidecar writer), so a full-network cold sweep never
 materialises any layer's event columns.  Peak RSS stays bounded by one
 block plus the replay's compact derived streams, which the
 ``streaming_sweep`` perf-gate benchmark asserts end to end through
 this executor.  Warm traces keep the cheaper replay-from-store path
-(mmap zero-copy where enabled).  ``streaming="off"`` (or
-``$REPRO_SWEEP_STREAM=off``) restores the materialising path; results
-are bit-identical either way (the PR 8 equivalence suite pins this at
-any block size).
+(mmap zero-copy where enabled); results are bit-identical either way.
 
 Determinism contract: a point's :class:`LayerResult` is a pure
 function of the point (the simulator has no hidden state beyond its
 caches, which only ever return artifacts produced by the same pure
 function).  Results are therefore bit-identical whether computed
-inline, by a thread, by a worker process, adopted from another host,
-or read back from the on-disk cache; ``tests/test_executor_backends.py``
+inline, by a thread, by a worker process, or read back from the
+on-disk cache; ``tests/test_executor_backends.py``
 and ``tests/test_runtime_equivalence.py`` enforce this for every
 backend and elimination mode.
 """
@@ -97,19 +88,11 @@ from repro.gpu.config import (
     TITAN_V,
 )
 from repro.gpu.ldst import EliminationMode
-from repro.runtime.cachekey import chunk_claim_key, result_key, trace_key
+from repro.runtime.cachekey import result_key, trace_key
 from repro.runtime.store import DiskCache
 
 #: Valid ``SweepExecutor(backend=...)`` values.
-BACKENDS = ("auto", "serial", "threads", "processes", "shared-store")
-
-#: Valid ``SweepExecutor(streaming=...)`` values.  ``auto`` streams
-#: cold fast-tier points (bounded RSS); ``off`` always materialises.
-STREAMING_MODES = ("auto", "off")
-
-#: Environment override for the streaming dispatch: ``on``/``off``
-#: apply when the executor was constructed with ``streaming="auto"``.
-STREAM_ENV = "REPRO_SWEEP_STREAM"
+BACKENDS = ("auto", "serial", "threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -140,25 +123,21 @@ class SimPoint:
             self.lhb_assoc,
         )
 
+    def route(self):
+        """The :class:`~repro.analytic.engine.Route` answering this point.
 
-def _resolves_analytic(point: SimPoint) -> bool:
-    """True when this point will be answered by the analytic tier.
+        Analytic answers are approximate: they bypass the result cache
+        in both directions (never served from exact results persisted
+        earlier, never persisted where an exact tier would read them).
+        The cache key normalises ``engine`` away, so without this
+        bypass the two tiers would share keys.
+        """
+        from repro.analytic.engine import route
 
-    Analytic answers are approximate: they bypass the result cache in
-    both directions (never served from exact results persisted
-    earlier, never persisted where an exact tier would read them).
-    The cache key normalises ``engine`` away, so without this bypass
-    the two tiers would share keys.
-    """
-    from repro.analytic.engine import analytic_resolves
-
-    return analytic_resolves(
-        point.kernel,
-        point.options,
-        point.mode,
-        point.lhb_entries,
-        point.lhb_assoc,
-    )
+        return route(
+            self.kernel, self.options, self.mode,
+            self.lhb_entries, self.lhb_assoc,
+        )
 
 
 def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
@@ -171,26 +150,20 @@ def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
     store is cheaper to replay from (mmap zero-copy where enabled) —
     and keeps RSS flat anyway, since it is materialised at most once.
     Only the fast tier can stream (the accumulator is the vectorised
-    replay's), and the retired loop generator
-    (``$REPRO_TRACE_GEN=loop``) cannot synthesize blocks at all.
+    replay's).
     """
     from repro.gpu import simulator
-    from repro.gpu.kernel import TRACE_GEN_ENV
 
-    if _point_tier(point) != "fast":
-        return False
-    if os.environ.get(TRACE_GEN_ENV, "").strip().lower() == "loop":
+    if point.route().tier != "fast":
         return False
     if simulator.trace_is_cached(
         point.spec, point.gpu, point.kernel, point.options
     ):
         return False
     store = cache if cache is not None else simulator.get_trace_store()
-    if store is not None and store.has_trace(
+    return store is None or not store.has_trace(
         trace_key(point.spec, point.gpu, point.kernel, point.options)
-    ):
-        return False
-    return True
+    )
 
 
 def simulate_point(
@@ -202,18 +175,16 @@ def simulate_point(
     """Get-or-compute one point's :class:`LayerResult`.
 
     ``key`` is the precomputed result key when the caller already paid
-    for it (the executor's prefilter ships keys with the points so
-    workers never recompute the digest).  ``streaming=True`` routes
-    cold fast-tier points through the bounded-RSS
+    for it.  ``streaming=True`` routes cold fast-tier points through
+    the bounded-RSS
     :func:`~repro.gpu.simulator.simulate_layer_streaming` entry,
     teeing the synthesized trace into ``cache`` (or the simulator's
     attached trace store) so later points find it warm; results are
     bit-identical to the materialising path.
     """
     from repro.gpu import simulator
-    from repro.gpu.simulator import simulate_layer
 
-    if cache is not None and _resolves_analytic(point):
+    if cache is not None and point.route().tier == "analytic":
         cache = None
     if cache is not None:
         if key is None:
@@ -235,7 +206,7 @@ def simulate_point(
             store=tee,
         )
     else:
-        result = simulate_layer(
+        result = simulator.simulate_layer(
             point.spec,
             point.mode,
             lhb_entries=point.lhb_entries,
@@ -244,6 +215,22 @@ def simulate_point(
             kernel=point.kernel,
             options=point.options,
         )
+    if cache is not None:
+        cache.put_result(key, result)
+    return result
+
+
+def _compute_point(
+    point: SimPoint, cache: Optional[DiskCache], key: Optional[str]
+):
+    """Compute a point the prefilter already missed in ``cache``.
+
+    Runs :func:`simulate_point` without a result store, so the store is
+    not asked for the result a second time, then persists the answer
+    under ``key``.  Traces still flow through the simulator's attached
+    trace store, which every executor venue points at ``cache``.
+    """
+    result = simulate_point(point, streaming=True)
     if cache is not None:
         cache.put_result(key, result)
     return result
@@ -267,101 +254,12 @@ SEC_PER_EVENT_GENERATE = 4e-8
 SEC_PER_EVENT_FAST = 1.5e-7
 #: Seconds per event for one event-tier (Python state machine) replay.
 SEC_PER_EVENT_EVENT = 1.5e-6
-#: Seconds for one analytic-tier query (profile build amortised).
-SEC_PER_ANALYTIC_POINT = 2e-3
 
 #: Pool startup cost by multiprocessing start method (fork is cheap,
 #: spawn re-imports the world in every worker).
 POOL_OVERHEAD_S = {"fork": 0.10, "forkserver": 0.35, "spawn": 0.8}
 #: Thread-pool startup cost (threads are nearly free to start).
 THREAD_OVERHEAD_S = 0.01
-
-
-def estimate_trace_events(point: SimPoint) -> int:
-    """Closed-form event count of ``point``'s trace (no generation).
-
-    Mirrors the kernel's emission arithmetic — per traced CTA, each
-    warp issues ``octet_duplication`` A- and B-fragment load
-    instructions per *valid* owned tile per k-step (``tile_m``
-    fragment events per A tile, ``tile_n`` per B tile) plus one
-    ``tile_m``-event store block per valid output tile pair, where
-    tiles past the matrix edge are guarded off exactly as
-    ``_plan_cta`` does — so for the explicit kernel this is not an
-    estimate at all: it equals the traced event count.  Implicit mode
-    adds staging fetches approximated at one input fragment per four
-    workspace fragments; the estimator only needs ordinal accuracy
-    there (implicit chunks price high enough to pool either way).
-    """
-    from repro.gpu.kernel import gemm_geometry, sm_cta_blocks
-
-    k = point.kernel
-    gpu = point.gpu
-    geom = gemm_geometry(point.spec, gpu)
-    blocks, _total = sm_cta_blocks(
-        geom, k, gpu, point.options.representative_sm
-    )
-    if point.options.max_ctas is not None:
-        blocks = blocks[: point.options.max_ctas]
-    k_steps = geom.k_pad // gpu.tile_k
-    warps_n = k.cta_tile_n // k.warp_tile_n
-
-    def valid_tiles(origin: int, tiles: int, extent: int, tile: int) -> int:
-        """Owned tiles whose base index lies inside the matrix."""
-        if origin >= extent:
-            return 0
-        return min(tiles, -(-(extent - origin) // tile))
-
-    events = 0
-    for cta_m, cta_n in blocks:
-        for w in range(k.warps_per_cta):
-            wm, wn = divmod(w, warps_n)
-            m0 = cta_m * k.cta_tile_m + wm * k.warp_tile_m
-            n0 = cta_n * k.cta_tile_n + wn * k.warp_tile_n
-            a_tiles = valid_tiles(
-                m0, k.warp_tile_m // gpu.tile_m, geom.m, gpu.tile_m
-            )
-            b_tiles = valid_tiles(
-                n0, k.warp_tile_n // gpu.tile_n, geom.n, gpu.tile_n
-            )
-            loads = (
-                (a_tiles * gpu.tile_m + b_tiles * gpu.tile_n)
-                * k.octet_duplication
-                * k_steps
-            )
-            events += loads + a_tiles * b_tiles * gpu.tile_m
-            if k.implicit:
-                events += loads // 4
-    return events
-
-
-def _point_tier(point: SimPoint) -> str:
-    """Which engine tier will answer ``point``: analytic/fast/event.
-
-    A *pure* mirror of the simulator's tier selection — it must not
-    touch ``repro.obs`` (``resolve_fast_path`` counts fallbacks, and a
-    cost estimate is not a fallback).  Points always reach
-    ``simulate_layer`` with a fresh LHB, so the only routes to the
-    event tier are explicit pins: ``fast_path="off"`` (or the env
-    override) and ``engine="event"``.
-    """
-    from repro.analytic.engine import resolve_engine
-    from repro.gpu.fastpath import FAST_PATH_ENV
-
-    if _resolves_analytic(point):
-        return "analytic"
-    engine = resolve_engine(point.options)
-    if engine in ("event", "fast"):
-        return engine
-    # "auto" (and the analytic coverage fallback) run the legacy
-    # fast/event tiering, where $REPRO_FAST_PATH can pin the path.
-    choice = point.options.fast_path
-    if choice == "auto":
-        env = os.environ.get(FAST_PATH_ENV, "").strip().lower()
-        if env in ("on", "off"):
-            choice = env
-    if choice == "off":
-        return "event"
-    return "fast"
 
 
 @dataclass
@@ -416,14 +314,11 @@ def _run_chunk(job):
     state is reset after export so a worker serving many chunks ships
     each delta exactly once.
     """
-    index, points, streaming = job
+    index, points = job
     if not obs.enabled():
         return (
             index,
-            [
-                simulate_point(p, _worker_cache, key, streaming=streaming)
-                for _, p, key in points
-            ],
+            [_compute_point(p, _worker_cache, key) for _, p, key in points],
             None,
         )
     t0 = time.perf_counter()
@@ -432,8 +327,7 @@ def _run_chunk(job):
         "executor.chunk", layer=layer, points=len(points), backend="processes"
     ):
         results = [
-            simulate_point(p, _worker_cache, key, streaming=streaming)
-            for _, p, key in points
+            _compute_point(p, _worker_cache, key) for _, p, key in points
         ]
     payload = obs.export_state()
     payload["busy_s"] = time.perf_counter() - t0
@@ -442,9 +336,7 @@ def _run_chunk(job):
     return index, results, payload
 
 
-def _run_chunk_threaded(
-    plan: _ChunkPlan, cache: Optional[DiskCache], streaming: bool = False
-):
+def _run_chunk_threaded(plan: _ChunkPlan, cache: Optional[DiskCache]):
     """Thread-worker body: records straight onto the shared registry.
 
     No ``export_state`` / ``merge_state`` / ``reset`` here: the thread
@@ -463,7 +355,7 @@ def _run_chunk_threaded(
         backend="threads",
     ):
         out = [
-            (pi, simulate_point(p, cache, key, streaming=streaming))
+            (pi, _compute_point(p, cache, key))
             for pi, p, key in plan.missing
         ]
     return plan.index, out, time.perf_counter() - t0
@@ -480,28 +372,17 @@ class SweepExecutor:
     cache:
         Optional :class:`DiskCache`.  When set, layer results are
         served from / persisted to disk and workers route trace
-        generation through the same store.  Required for
-        ``backend="shared-store"``.
+        generation through the same store.
     backend:
         ``"auto"`` (price each chunk, pick threads for the vectorised
         tiers and processes for the event tier), ``"serial"`` (always
-        inline), ``"threads"``, ``"processes"``, or ``"shared-store"``
-        (multi-host coordination through the cache directory).
+        inline), ``"threads"`` or ``"processes"``.
     cutover:
         ``"auto"`` opens a pool only when the estimated work saved
         exceeds the pool's startup cost; a number is an estimated-
         seconds threshold — pools open when the pending work prices at
         or above it (``0`` forces pooling, ``math.inf`` forces
         inline).  Venue only: the decision can never change results.
-    streaming:
-        ``"auto"`` (default) streams cold fast-tier points through the
-        bounded-RSS :func:`simulate_layer_streaming` entry (teeing
-        fresh traces into the store); ``"off"`` always materialises.
-        ``$REPRO_SWEEP_STREAM=off`` pins it off when left at auto.
-        Bit-identical either way — this knob only moves memory.
-    shared_timeout_s / shared_poll_s:
-        Shared-store patience: how long to wait for another host's
-        claimed chunk before stealing it, and the poll interval.
     """
 
     def __init__(
@@ -510,9 +391,6 @@ class SweepExecutor:
         cache: Optional[DiskCache] = None,
         backend: str = "auto",
         cutover: Union[str, float] = "auto",
-        streaming: str = "auto",
-        shared_timeout_s: float = 300.0,
-        shared_poll_s: float = 0.05,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -520,30 +398,14 @@ class SweepExecutor:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
-        if streaming not in STREAMING_MODES:
-            raise ValueError(
-                f"streaming must be one of {STREAMING_MODES}, "
-                f"got {streaming!r}"
-            )
         if cutover != "auto":
             cutover = float(cutover)
             if math.isnan(cutover) or cutover < 0:
                 raise ValueError(f"cutover must be 'auto' or >= 0, got {cutover}")
-        if backend == "shared-store" and cache is None:
-            raise ValueError("backend='shared-store' requires a cache")
         self.jobs = jobs
         self.cache = cache
         self.backend = backend
         self.cutover = cutover
-        self.streaming = streaming
-        self.shared_timeout_s = shared_timeout_s
-        self.shared_poll_s = shared_poll_s
-
-    def _stream(self) -> bool:
-        """Resolved streaming dispatch (constructor + env override)."""
-        if self.streaming == "off":
-            return False
-        return os.environ.get(STREAM_ENV, "").strip().lower() != "off"
 
     # -- public API -----------------------------------------------------
 
@@ -569,10 +431,7 @@ class SweepExecutor:
         with sweep_span:
             pending = self._prefilter(chunks, results)
             if pending:
-                if self.backend == "shared-store":
-                    self._run_shared(pending, results)
-                else:
-                    self._run_local(pending, results)
+                self._run_local(pending, results)
         return [
             [results[(ci, pi)] for pi in range(len(chunk))]
             for ci, chunk in enumerate(chunks)
@@ -588,6 +447,8 @@ class SweepExecutor:
         tier answers it (closed forms over a memoised layer profile;
         cheaper than any dispatch).  A chunk whose *every* point
         resolves never reaches a worker (``executor.chunks_skipped``).
+        This is the only result-cache probe a point gets: the workers
+        compute the returned points without asking the store again.
         """
         pending: List[Tuple[int, list]] = []
         cache_hits = 0
@@ -596,8 +457,8 @@ class SweepExecutor:
         for ci, chunk in enumerate(chunks):
             missing = []
             for pi, point in enumerate(chunk):
-                if _resolves_analytic(point):
-                    results[(ci, pi)] = simulate_point(point, None)
+                if point.route().tier == "analytic":
+                    results[(ci, pi)] = simulate_point(point)
                     analytic_hits += 1
                     continue
                 key = None
@@ -636,9 +497,12 @@ class SweepExecutor:
     def _plan(self, ci: int, missing: list) -> _ChunkPlan:
         """Price one chunk and pick its natural venue."""
         from repro.gpu import simulator
+        from repro.gpu.kernel import plan_sm_trace
 
         first = missing[0][1]
-        events = estimate_trace_events(first)
+        events = plan_sm_trace(
+            first.spec, first.gpu, first.kernel, first.options
+        ).event_count()
         warm = simulator.trace_is_cached(
             first.spec, first.gpu, first.kernel, first.options
         )
@@ -648,13 +512,11 @@ class SweepExecutor:
             )
         est = 0.0 if warm else events * SEC_PER_EVENT_GENERATE
         venue = "threads"
+        # Analytic points never get here: the prefilter answers them.
         for _pi, point, _key in missing:
-            tier = _point_tier(point)
-            if tier == "event":
+            if point.route().tier == "event":
                 venue = "processes"
                 est += events * SEC_PER_EVENT_EVENT
-            elif tier == "analytic":
-                est += SEC_PER_ANALYTIC_POINT
             else:
                 est += events * SEC_PER_EVENT_FAST
         return _ChunkPlan(index=ci, missing=missing, est_s=est, venue=venue)
@@ -681,34 +543,39 @@ class SweepExecutor:
     def _pool_overhead_s(self) -> float:
         return POOL_OVERHEAD_S.get(self._context().get_start_method(), 0.8)
 
-    # -- local dispatch -------------------------------------------------
+    # -- dispatch -------------------------------------------------------
+
+    def _split(self, pending):
+        """(inline, thread plans, process plans) for the pending chunks.
+
+        Chunks are priced only when a pool could open at all; with
+        ``jobs == 1`` or ``backend="serial"`` everything runs inline.
+        """
+        if self.backend == "serial" or self.jobs == 1:
+            return list(pending), [], []
+        plans = [self._plan(ci, missing) for ci, missing in pending]
+        if self.backend in ("threads", "processes"):
+            for p in plans:
+                p.venue = self.backend
+        thread_plans = [p for p in plans if p.venue == "threads"]
+        proc_plans = [p for p in plans if p.venue == "processes"]
+        inline = []
+        if thread_plans and not self._should_pool(
+            thread_plans, THREAD_OVERHEAD_S
+        ):
+            inline += thread_plans
+            thread_plans = []
+        if proc_plans and not self._should_pool(
+            proc_plans, self._pool_overhead_s()
+        ):
+            inline += proc_plans
+            proc_plans = []
+        inline = [(p.index, p.missing) for p in inline]
+        return inline, thread_plans, proc_plans
 
     def _run_local(self, pending, results) -> None:
         """Adaptive dispatch: inline, threads, processes, or a mix."""
-        plans = [self._plan(ci, missing) for ci, missing in pending]
-        if self.backend == "threads":
-            for p in plans:
-                p.venue = "threads"
-        elif self.backend == "processes":
-            for p in plans:
-                p.venue = "processes"
-
-        thread_plans = [p for p in plans if p.venue == "threads"]
-        proc_plans = [p for p in plans if p.venue == "processes"]
-        if self.backend == "serial" or self.jobs == 1:
-            inline, thread_plans, proc_plans = plans, [], []
-        else:
-            inline = []
-            if thread_plans and not self._should_pool(
-                thread_plans, THREAD_OVERHEAD_S
-            ):
-                inline += thread_plans
-                thread_plans = []
-            if proc_plans and not self._should_pool(
-                proc_plans, self._pool_overhead_s()
-            ):
-                inline += proc_plans
-                proc_plans = []
+        inline, thread_plans, proc_plans = self._split(pending)
         obs.add("executor.cutover.inline", len(inline))
         obs.add("executor.cutover.pool", len(thread_plans) + len(proc_plans))
 
@@ -732,10 +599,8 @@ class SweepExecutor:
                 initializer=_init_worker,
                 initargs=(root, obs.enabled()),
             )
-            stream = self._stream()
             proc_iter = pool.imap_unordered(
-                _run_chunk,
-                [(p.index, p.missing, stream) for p in proc_plans],
+                _run_chunk, [(p.index, p.missing) for p in proc_plans]
             )
 
         from repro.gpu import simulator
@@ -750,9 +615,7 @@ class SweepExecutor:
                 obs.add("executor.dispatch.threads", len(thread_plans))
                 with ThreadPoolExecutor(max_workers=nthreads) as tpool:
                     for ci, out, chunk_busy in tpool.map(
-                        lambda p: _run_chunk_threaded(
-                            p, self.cache, self._stream()
-                        ),
+                        lambda p: _run_chunk_threaded(p, self.cache),
                         thread_plans,
                     ):
                         busy_s += chunk_busy
@@ -760,16 +623,15 @@ class SweepExecutor:
                             results[(ci, pi)] = result
             if inline:
                 obs.add("executor.inline_chunks", len(inline))
-                for plan in inline:
-                    layer = plan.missing[0][1].spec.qualified_name
+                for ci, missing in inline:
+                    layer = missing[0][1].spec.qualified_name
                     with obs.span(
                         "executor.chunk", layer=layer,
-                        points=len(plan.missing), inline=True,
+                        points=len(missing), inline=True,
                     ):
-                        for pi, point, key in plan.missing:
-                            results[(plan.index, pi)] = simulate_point(
-                                point, self.cache, key,
-                                streaming=self._stream(),
+                        for pi, point, key in missing:
+                            results[(ci, pi)] = _compute_point(
+                                point, self.cache, key
                             )
         finally:
             if self.cache is not None:
@@ -794,68 +656,6 @@ class SweepExecutor:
                 "executor.worker_utilization",
                 busy_s / (wall * nworkers) if wall > 0 else 0.0,
             )
-
-    # -- shared-store dispatch ------------------------------------------
-
-    def _run_shared(self, pending, results) -> None:
-        """Multi-host mode: claim chunks through the cache directory.
-
-        Every participant walks the same pending list.  For each
-        chunk, exactly one executor wins the atomic claim and computes
-        it (through the normal adaptive local dispatch); the others
-        poll the chunk's result keys and adopt the persisted results.
-        A winner that dies is survivable: after ``shared_timeout_s``
-        a waiter steals the chunk and computes it locally — results
-        are pure functions of the point, so duplicated work is wasted
-        time, never wrong answers.
-        """
-        assert self.cache is not None
-        owned: List[Tuple[int, list]] = []
-        waiting: List[Tuple[int, list]] = []
-        for ci, missing in pending:
-            claim = chunk_claim_key([key for _, _, key in missing])
-            if self.cache.try_claim(claim):
-                owned.append((ci, missing))
-            else:
-                waiting.append((ci, missing))
-        obs.add("executor.shared.chunks_owned", len(owned))
-        obs.add("executor.shared.chunks_waited", len(waiting))
-        if owned:
-            self._run_local(owned, results)
-
-        deadline = time.monotonic() + self.shared_timeout_s
-        while waiting:
-            still_waiting = []
-            for ci, missing in waiting:
-                done = []
-                for pi, point, key in missing:
-                    hit = (
-                        self.cache.get_result(key)
-                        if self.cache.has_result(key)
-                        else None
-                    )
-                    if hit is None:
-                        break
-                    done.append((pi, hit))
-                if len(done) == len(missing):
-                    for pi, hit in done:
-                        results[(ci, pi)] = hit
-                else:
-                    still_waiting.append((ci, missing))
-            waiting = still_waiting
-            if not waiting:
-                break
-            if time.monotonic() >= deadline:
-                # The claim holder is too slow or gone — steal.
-                obs.add("executor.shared.chunks_stolen", len(waiting))
-                _log.warning(
-                    "shared-store: stealing %d unclaimed chunk(s) after "
-                    "%.0fs timeout", len(waiting), self.shared_timeout_s,
-                )
-                self._run_local(waiting, results)
-                return
-            obs.add("executor.shared.polls")
-            time.sleep(self.shared_poll_s)
 
     # -- plumbing -------------------------------------------------------
 

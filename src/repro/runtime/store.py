@@ -8,14 +8,13 @@ small)::
       traces/ab/abcdef....events.npy  uncompressed events (mmap hand-off)
       traces/ab/abcdef....meta.json   the trace's scalar fields
       results/9f/9fe312....pkl        pickled LayerResult
-      claims/3c/3c90....claim         shared-store chunk ownership marks
 
 Traces persist in the columnar ``.npz`` form
 (:meth:`repro.gpu.isa.KernelTrace.save_npz`): narrow per-field dtypes
 plus deflate shrink the archive roughly an order of magnitude versus
 the pickled int64 struct-of-arrays, and loading needs no pickle at
-all.  Stores written by earlier versions (``traces/**.pkl``) are still
-read as a fallback.
+all.  Pickled traces written by earlier versions are not read: they
+miss and are regenerated.
 
 Alongside the compressed archive, :meth:`DiskCache.put_trace` writes
 an *uncompressed* ``.events.npy`` / ``.meta.json`` pair — the
@@ -50,12 +49,6 @@ written is never a candidate.  The long-running query server
 (:mod:`repro.serve`) runs its shared store capped so unbounded
 design-space exploration cannot fill the disk.
 
-``try_claim`` implements the shared-store coordination primitive: an
-``O_CREAT | O_EXCL`` create of a claim file, atomic on POSIX
-filesystems (including the NFS-style shares a multi-host sweep would
-mount), so exactly one participant wins each chunk.  See
-``repro.runtime.executor`` (``backend="shared-store"``).
-
 The default location is ``$REPRO_CACHE_DIR`` or ``results/cache``
 relative to the working directory; the CLI and
 :class:`repro.runtime.executor.SweepExecutor` both construct stores
@@ -68,7 +61,6 @@ import json
 import logging
 import os
 import pickle
-import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -150,7 +142,7 @@ class DiskCache:
     #: the LRU touch always treat a key's files as a unit, so a trace
     #: archive never outlives its mmap sidecar pair (or vice versa).
     _GROUP_SUFFIXES = {
-        "traces": (".npz", ".events.npy", ".meta.json", ".pkl"),
+        "traces": (".npz", ".events.npy", ".meta.json"),
         "results": (".pkl",),
     }
 
@@ -383,9 +375,6 @@ class DiskCache:
             # serve it (densely) even when this store doesn't mmap.
             trace = self._get_trace_sidecar(key, mmap=False)
         if trace is None:
-            # Legacy stores persisted pickled traces.
-            trace = self._get("traces", key)
-        if trace is None:
             self._stats.trace_misses += 1
             obs.add("store.trace_misses")
         else:
@@ -409,13 +398,13 @@ class DiskCache:
 
     def has_trace(self, key: str) -> bool:
         """Cheap existence probe (no read) — the cost estimator's view."""
-        for suffix in (".npz", ".meta.json", ".pkl"):
+        for suffix in (".npz", ".meta.json"):
             if self._path("traces", key, suffix).exists():
                 return True
         return False
 
     def has_result(self, key: str) -> bool:
-        """Cheap existence probe — shared-store polling uses this."""
+        """Cheap existence probe (no read, no hit/miss accounting)."""
         return self._path("results", key).exists()
 
     def get_result(self, key: str):
@@ -449,43 +438,12 @@ class DiskCache:
                 continue
         return 0
 
-    # -- shared-store coordination --------------------------------------
-
-    def try_claim(self, key: str) -> bool:
-        """Atomically claim ``key``; True iff this caller won it.
-
-        One ``O_CREAT | O_EXCL`` create — the portable
-        compare-and-swap of shared POSIX filesystems.  The claim file
-        records who won (host, pid, wall time) for post-mortems; the
-        artifact itself still arrives through the normal result-cache
-        writes, so a claim is ownership metadata, never data.
-        """
-        path = self._path("claims", key, suffix=".claim")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            obs.add("store.claims_lost")
-            return False
-        with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {
-                    "host": socket.gethostname(),
-                    "pid": os.getpid(),
-                    "time_unix": time.time(),
-                },
-                fh,
-            )
-        obs.add("store.claims_won")
-        return True
-
     # -- maintenance ----------------------------------------------------
 
     #: rglob patterns per family for inventory/clear.
     _FAMILY_PATTERNS = {
-        "traces": ("*.pkl", "*.npz", "*.events.npy", "*.meta.json"),
+        "traces": ("*.npz", "*.events.npy", "*.meta.json"),
         "results": ("*.pkl", "*.npz"),
-        "claims": ("*.claim",),
     }
 
     def stats(self) -> CacheStats:
@@ -506,7 +464,7 @@ class DiskCache:
         return s
 
     def clear(self) -> int:
-        """Delete every cached artifact and claim; returns files removed."""
+        """Delete every cached artifact; returns files removed."""
         removed = 0
         for family, patterns in self._FAMILY_PATTERNS.items():
             base = self.root / family

@@ -14,10 +14,11 @@ execution: the first arrival becomes the *leader* and computes; every
 follower that lands while the leader is in flight blocks on the
 leader's slot and adopts its result (counted under
 ``serve.coalesced``).  The coalescing key is the point's
-content-addressed result key *prefixed with the answering tier* —
-cache keys deliberately normalise ``engine`` away, but an analytic
-(approximate) answer must never be handed to a client that would have
-received an exact one, so the two tiers never share a slot.
+content-addressed result key *prefixed with the answering tier* from
+:func:`repro.analytic.engine.route` — cache keys deliberately
+normalise ``engine`` away, but an analytic (approximate) answer must
+never be handed to a client that would have received an exact one, so
+two tiers never share a slot.
 
 Metrics
 -------
@@ -39,7 +40,6 @@ from repro import obs
 from repro.runtime.executor import (
     SimPoint,
     SweepExecutor,
-    _resolves_analytic,
     simulate_point,
 )
 from repro.runtime.store import DiskCache
@@ -189,8 +189,7 @@ class QueryService:
 
     @staticmethod
     def _coalesce_key(point: SimPoint) -> str:
-        tier = "analytic" if _resolves_analytic(point) else "exact"
-        return f"{tier}:{point.cache_key()}"
+        return f"{point.route().tier}:{point.cache_key()}"
 
     def query(self, payload: Any) -> Dict[str, Any]:
         """Answer one query (validates, coalesces, simulates)."""

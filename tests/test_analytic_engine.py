@@ -4,28 +4,32 @@ Pins the selection matrix of :mod:`repro.analytic.engine` as wired
 into :func:`repro.gpu.simulator.simulate_layer`:
 
 * which tier answers for every (``options.engine``, ``$REPRO_ENGINE``)
-  combination — explicit option beats environment beats legacy auto;
-* ``engine.selected.*`` / ``analytic.fallback.*`` /
-  ``fastpath.fallback.*`` counters asserted *exactly* (whole counter
-  families compared at once, so an unexpected fallback fails);
+  combination — explicit option beats environment beats auto;
+* :func:`~repro.analytic.engine.route` over engine × kernel ×
+  granularity × LHB geometry, and agreement between the router, the
+  ``engine.selected.*`` counter and the service's coalescing key;
+* ``engine.selected.*`` / ``analytic.fallback.*`` counters asserted
+  *exactly* (whole counter families compared at once, so an
+  unexpected fallback fails);
 * the analytic tier answers covered queries with **no trace
   generation** — the acceptance property that makes it O(1);
 * analytic answers bypass the persistent result cache in both
   directions (never served from exact results, never persisted where
   an exact tier would read them);
-* warm caller-supplied LHBs stay on the event path everywhere.
+* the analytic model refuses warm caller-supplied LHBs.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.analytic import (
     AnalyticUnsupported,
-    analytic_fallback_reason,
+    Route,
     layer_profile,
     predict_stats,
     resolve_engine,
-    supports_analytic,
+    route,
 )
 from repro.analytic.engine import analytic_resolves
 from repro.core.lhb import LoadHistoryBuffer
@@ -34,24 +38,22 @@ from repro.gpu.config import (
     BASELINE_KERNEL,
     IMPLICIT_KERNEL,
     SimulationOptions,
-    TITAN_V,
 )
-from repro.gpu.fastpath import resolve_fast_path
 from repro.gpu.ldst import EliminationMode
+from repro.gpu.multikernel import simulate_shared_lhb
 from repro.gpu.simulator import simulate_layer
 from repro.runtime.executor import SimPoint, simulate_point
 from repro.runtime.store import DiskCache
+from repro.serve.service import QueryService
 
 from tests.conftest import make_spec
 
 
 @pytest.fixture(autouse=True)
 def _clean_env_and_obs(monkeypatch):
-    """This module asserts tier routing itself: neither engine nor
-    fast-path environment overrides may leak in, and every test starts
-    with a clean metrics registry."""
+    """This module asserts tier routing itself: no engine override may
+    leak in, and every test starts with a clean metrics registry."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
     obs.disable()
     obs.reset()
     yield
@@ -105,24 +107,124 @@ class TestSelectionMatrix:
             SimulationOptions(engine="bogus")
 
     def test_auto_never_selects_analytic(self):
-        """Legacy default stays exact: auto only tiers fast/event."""
+        """The default stays exact: auto answers on the fast tier."""
         assert _selected(options=OPTS) == "fast"
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
 
+#: LHB geometries of the router table: (entries, assoc) -> analytic
+#: coverage of a DUPLO request on the explicit fragment stream.
+GEOMETRIES = {
+    "direct-1024": ((1024, 1), None),
+    "direct-npo2": ((96, 1), "npo2-sets"),
+    "8way-pow2": ((64, 8), None),
+    "8way-npo2": ((24 * 8, 8), "npo2-sets"),
+    "oracle": ((None, 1), None),
+}
+KERNELS = {"explicit": BASELINE_KERNEL, "implicit": IMPLICIT_KERNEL}
+
+
+class TestRouteTable:
+    """``route`` over engine x kernel x granularity x LHB geometry."""
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("granularity", ["fragment", "instruction"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("engine", ["auto", "fast", "event", "analytic"])
+    def test_route(self, engine, kernel, granularity, geometry):
+        (entries, assoc), gap = GEOMETRIES[geometry]
+        options = SimulationOptions(
+            max_ctas=1, engine=engine, lhb_granularity=granularity
+        )
+        got = route(
+            KERNELS[kernel], options, EliminationMode.DUPLO, entries, assoc
+        )
+        if engine == "event":
+            expected = Route("event")
+        elif engine in ("auto", "fast"):
+            expected = Route("fast")
+        elif kernel == "implicit":
+            expected = Route("fast", "implicit-kernel")
+        elif granularity == "instruction":
+            expected = Route("fast", "instruction-granularity")
+        elif gap is not None:
+            expected = Route("fast", gap)
+        else:
+            expected = Route("analytic")
+        assert got == expected
+        assert analytic_resolves(
+            KERNELS[kernel], options, EliminationMode.DUPLO, entries, assoc
+        ) == (expected.tier == "analytic")
+
+    @pytest.mark.parametrize("env", ["analytic", "fast", "event"])
+    def test_env_applies_only_to_auto(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_ENGINE", env)
+        mode = EliminationMode.DUPLO
+        auto = SimulationOptions(max_ctas=1)
+        assert route(BASELINE_KERNEL, auto, mode, 1024, 1).tier == env
+        for engine in ("fast", "event"):
+            pinned = SimulationOptions(max_ctas=1, engine=engine)
+            assert route(BASELINE_KERNEL, pinned, mode, 1024, 1).tier == (
+                engine
+            )
+
+
+@st.composite
+def routed_points(draw):
+    lhb = draw(st.sampled_from(sorted(GEOMETRIES)))
+    (entries, assoc), _gap = GEOMETRIES[lhb]
+    return SimPoint(
+        SPEC,
+        mode=draw(st.sampled_from(list(EliminationMode))),
+        lhb_entries=entries,
+        lhb_assoc=assoc,
+        kernel=KERNELS[draw(st.sampled_from(sorted(KERNELS)))],
+        options=SimulationOptions(
+            max_ctas=1,
+            engine=draw(st.sampled_from(["auto", "analytic", "fast", "event"])),
+            lhb_granularity=draw(st.sampled_from(["fragment", "instruction"])),
+        ),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(point=routed_points())
+def test_router_counter_and_coalescing_key_agree(point):
+    """The tier ``simulate_layer`` reports, the router's answer and
+    the service's coalescing-key prefix are one decision."""
+    expected = route(
+        point.kernel, point.options, point.mode,
+        point.lhb_entries, point.lhb_assoc,
+    )
+    tier = _selected(
+        mode=point.mode,
+        lhb_entries=point.lhb_entries,
+        lhb_assoc=point.lhb_assoc,
+        kernel=point.kernel,
+        options=point.options,
+    )
+    assert tier == expected.tier
+    fallbacks = obs.counters_with_prefix("analytic.fallback.")
+    assert fallbacks == (
+        {} if expected.reason is None
+        else {f"analytic.fallback.{expected.reason}": 1}
+    )
+    prefix = QueryService._coalesce_key(point).split(":", 1)[0]
+    assert prefix == expected.tier
+
+
 class TestAnalyticCoverage:
     def test_covered_configurations(self):
+        analytic = SimulationOptions(max_ctas=1, engine="analytic")
         for mode in EliminationMode:
-            for lhb in (
-                None if mode is EliminationMode.BASELINE
-                else LoadHistoryBuffer(num_entries=1024),
-                LoadHistoryBuffer(num_entries=96 * 2, assoc=2, lifetime=7)
-                if mode is EliminationMode.BASELINE  # npo2 ok: no LHB use
-                else LoadHistoryBuffer(
-                    num_entries=64, assoc=8, hashed_index=False
-                ),
-            ):
-                assert supports_analytic(BASELINE_KERNEL, OPTS, mode, lhb)
+            for entries, assoc in ((1024, 1), (64, 8), (None, 1)):
+                assert route(
+                    BASELINE_KERNEL, analytic, mode, entries, assoc
+                ) == Route("analytic")
+        # BASELINE never consults the LHB, so npo2 sets stay covered.
+        assert route(
+            BASELINE_KERNEL, analytic, EliminationMode.BASELINE, 96, 1
+        ) == Route("analytic")
 
     @pytest.mark.parametrize(
         "kernel,options,entries,assoc,reason",
@@ -142,13 +244,14 @@ class TestAnalyticCoverage:
     def test_fallback_reasons_and_counters(
         self, kernel, options, entries, assoc, reason
     ):
-        lhb = LoadHistoryBuffer(num_entries=entries, assoc=assoc)
-        assert (
-            analytic_fallback_reason(
-                kernel, options, EliminationMode.DUPLO, lhb
-            )
-            == reason
+        analytic = SimulationOptions(
+            max_ctas=options.max_ctas,
+            lhb_granularity=options.lhb_granularity,
+            engine="analytic",
         )
+        assert route(
+            kernel, analytic, EliminationMode.DUPLO, entries, assoc
+        ) == Route("fast", reason)
         obs.enable()
         obs.reset()
         tier = _selected(
@@ -173,29 +276,27 @@ class TestAnalyticCoverage:
         ) == "analytic"
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
-    def test_warm_lhb_routes_to_fast_tier(self, monkeypatch):
-        """The analytic closed forms still assume a fresh buffer, but
-        the fallback now lands on the *fast* tier (which seeds its
-        recurrence from the residency snapshot) — never the event
-        path, so ``fastpath.fallback.warm-lhb`` stays retired."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    def test_warm_lhb_routes_to_fast_tier(self):
+        """The analytic closed forms assume a fresh buffer: the model
+        refuses a warm one loudly, and the one entry point that takes
+        a caller's buffer (the multi-kernel replay) answers it on the
+        fast tier even when analytic is requested."""
         warm = LoadHistoryBuffer(num_entries=16)
         warm.access(1, 0, dest_reg=0)
-        assert (
-            analytic_fallback_reason(
-                BASELINE_KERNEL, OPTS, EliminationMode.DUPLO, warm
-            )
-            == "warm-lhb"
-        )
-        obs.enable()
-        obs.reset()
-        assert resolve_fast_path(OPTS, EliminationMode.DUPLO, warm)
-        assert obs.counters_with_prefix("fastpath.fallback") == {}
         profile = layer_profile(
             SPEC, EliminationMode.DUPLO, options=OPTS
         )
         with pytest.raises(AnalyticUnsupported, match="warm"):
             predict_stats(profile, warm)
+        obs.enable()
+        obs.reset()
+        simulate_shared_lhb(
+            [SPEC], 16, lhb=warm,
+            options=SimulationOptions(max_ctas=1, engine="analytic"),
+        )
+        assert obs.counters_with_prefix("fastpath.shared_replays") == {
+            "fastpath.shared_replays": 1
+        }
 
 
 class TestNoTraceGeneration:

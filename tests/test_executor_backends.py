@@ -1,13 +1,13 @@
 """Backend equivalence matrix for the adaptive sweep executor.
 
 The executor's cutover and venue selection (inline / threads /
-processes / shared-store) are pure *placement* decisions: every
-backend must return LayerStats that are ``asdict``-equal to the
-serial path, bit for bit, across all engine tiers.  This suite pins
-that contract, the cost estimator's honesty (its decisions never leak
-into results — hypothesis-fuzzed), the thread-worker metrics rule
-(no export/merge, no double-count), the warm-chunk skip, and the
-shared-store claim/poll/steal protocol.
+processes) are pure *placement* decisions: every backend must return
+LayerStats that are ``asdict``-equal to the serial path, bit for bit,
+across all engine tiers.  This suite pins that contract, the cost
+model's honesty (its decisions never leak into results —
+hypothesis-fuzzed), the thread-worker metrics rule (no export/merge,
+no double-count), the warm-chunk skip, and the single result-cache
+probe per point.
 """
 
 import dataclasses
@@ -20,16 +20,15 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import make_spec
 from repro import obs
 from repro.gpu import simulator
-from repro.gpu.config import SimulationOptions
+from repro.gpu.config import IMPLICIT_KERNEL, SimulationOptions
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache
 from repro.runtime import (
     DiskCache,
     SimPoint,
     SweepExecutor,
-    estimate_trace_events,
-    trace_key,
 )
+from repro.runtime.executor import SEC_PER_EVENT_FAST
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
@@ -60,7 +59,6 @@ BACKEND_MATRIX = [
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
     obs.disable()
     obs.reset()
     clear_trace_cache()
@@ -129,11 +127,9 @@ def test_constructor_validation(tmp_path):
         SweepExecutor(cutover=-1)
     with pytest.raises(ValueError, match="cutover"):
         SweepExecutor(cutover=float("nan"))
-    with pytest.raises(ValueError, match="shared-store"):
-        SweepExecutor(backend="shared-store")
-    SweepExecutor(
-        backend="shared-store", cache=DiskCache(tmp_path / "c")
-    )  # with a cache it constructs
+    # The retired multi-host backend is an unknown venue now.
+    with pytest.raises(ValueError, match="backend"):
+        SweepExecutor(backend="shared-store", cache=DiskCache(tmp_path / "c"))
 
 
 # ----------------------------------------------------------------------
@@ -178,21 +174,78 @@ def test_cutover_never_changes_results(
 
 
 # ----------------------------------------------------------------------
-# Cost estimator: exact on the explicit kernel
+# Cost model: priced from the exact trace plan, only when pooling
 # ----------------------------------------------------------------------
+
+
+def _priced_events(point):
+    """Events the cost model charged for ``point`` (warm trace)."""
+    simulator._get_trace(point.spec, point.gpu, point.kernel, point.options)
+    plan = SweepExecutor(jobs=2)._plan(0, [(0, point, None)])
+    return plan.est_s / SEC_PER_EVENT_FAST
 
 
 @pytest.mark.parametrize("spec", LAYERS, ids=lambda s: s.name)
 @pytest.mark.parametrize("max_ctas", [1, 2, None])
 def test_event_estimate_is_exact_for_explicit_kernel(spec, max_ctas):
-    """The closed-form estimate mirrors the kernel's emission
-    arithmetic, so for the explicit kernel it is not an estimate at
-    all — it equals the traced event count."""
+    """Chunks are priced from the trace plan's event count, which is
+    exact: it equals the traced event count."""
     point = SimPoint(spec, options=SimulationOptions(max_ctas=max_ctas))
     trace = simulator._get_trace(
         point.spec, point.gpu, point.kernel, point.options
     )
-    assert estimate_trace_events(point) == len(trace)
+    assert _priced_events(point) == pytest.approx(len(trace), rel=1e-12)
+
+
+def test_event_estimate_is_exact_for_implicit_kernel():
+    point = SimPoint(
+        LAYERS[0], kernel=IMPLICIT_KERNEL, options=SimulationOptions(max_ctas=2)
+    )
+    trace = simulator._get_trace(
+        point.spec, point.gpu, point.kernel, point.options
+    )
+    assert _priced_events(point) == pytest.approx(len(trace), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"jobs": 1}, {"jobs": 4, "backend": "serial"}])
+def test_serial_runs_are_never_priced(monkeypatch, kwargs):
+    def boom(*args, **kw):
+        raise AssertionError("a serial run priced a chunk")
+
+    monkeypatch.setattr(SweepExecutor, "_plan", boom)
+    rows = SweepExecutor(**kwargs).run_chunks(_chunks())
+    assert len(rows) == len(LAYERS)
+
+
+def test_cold_serial_sweep_probes_store_once(tmp_path, monkeypatch):
+    """A cold point is looked up once, at prefilter: the worker that
+    computes it does not ask the store again, and serial runs never
+    probe for traces to price chunks."""
+    cache = DiskCache(tmp_path / "cache")
+    chunks = _chunks()
+    n_points = sum(len(c) for c in chunks)
+    trace_probes = []
+    real_has_trace = DiskCache.has_trace
+
+    def counting_has_trace(self, key):
+        trace_probes.append(key)
+        return real_has_trace(self, key)
+
+    monkeypatch.setattr(DiskCache, "has_trace", counting_has_trace)
+    obs.enable()
+    obs.reset()
+    SweepExecutor(jobs=1, cache=cache).run_chunks(chunks)
+    counters = obs.snapshot()["counters"]
+    obs.disable()
+    assert counters["store.result_misses"] == n_points
+    assert "store.result_hits" not in counters
+    assert counters["store.result_puts"] == n_points
+    # Only the streaming decision probes traces, for each point that
+    # misses the in-process LRU: a chunk's first point (cold, so it
+    # streams into the store) and its second (warm in the store, so it
+    # loads the trace into the LRU for the rest).
+    assert len(trace_probes) == 2 * len(chunks)
+    assert cache.stats().result_misses == n_points
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +406,7 @@ def test_mmap_trace_handoff_is_bit_identical(tmp_path):
 
 def test_mmap_trace_handoff_event_path(tmp_path):
     """The event-level replay consumes mmap-loaded traces too."""
-    options = dataclasses.replace(OPTIONS, fast_path="off")
+    options = dataclasses.replace(OPTIONS, engine="event")
     point = SimPoint(LAYERS[0], options=options, lhb_entries=64)
     clear_trace_cache()
     reference = _stat_rows(
@@ -369,141 +422,3 @@ def test_mmap_trace_handoff_event_path(tmp_path):
         SweepExecutor(jobs=1, cache=mmap_cache).run_chunks([[point]])
     )
     assert got == reference
-
-
-# ----------------------------------------------------------------------
-# Shared-store coordination
-# ----------------------------------------------------------------------
-
-
-def test_shared_store_second_host_adopts_results(tmp_path):
-    """Host B loses every claim to host A and adopts A's persisted
-    results without simulating anything."""
-    chunks = _chunks()
-    clear_trace_cache()
-    reference = _stat_rows(
-        SweepExecutor(jobs=1, backend="serial").run_chunks(chunks)
-    )
-    root = tmp_path / "shared"
-    a = SweepExecutor(
-        jobs=1, cache=DiskCache(root), backend="shared-store"
-    )
-    assert _stat_rows(a.run_chunks(chunks)) == reference
-    clear_trace_cache()
-    obs.enable()
-    obs.reset()
-    b = SweepExecutor(
-        jobs=1, cache=DiskCache(root), backend="shared-store",
-        shared_timeout_s=10.0, shared_poll_s=0.01,
-    )
-    assert _stat_rows(b.run_chunks(chunks)) == reference
-    counters = obs.snapshot()["counters"]
-    obs.disable()
-    # B resolved everything at the prefilter (A's results are on
-    # disk), so it neither claimed nor simulated.
-    assert "sim.layers_simulated" not in counters
-    assert counters["executor.prefilter_hits"] == sum(
-        len(c) for c in chunks
-    )
-
-
-def test_shared_store_poll_adopts_mid_sweep_results(tmp_path):
-    """Claims lost, results not yet on disk at prefilter time: B's
-    poll loop picks them up when the claim holder lands them."""
-    import threading
-
-    from repro.runtime import chunk_claim_key, simulate_point
-
-    chunks = _chunks()[:1]
-    clear_trace_cache()
-    results = [simulate_point(p, None) for p in chunks[0]]
-    reference = _stat_rows([results])
-    root = tmp_path / "shared"
-    cache_a = DiskCache(root)
-    keys = [p.cache_key() for p in chunks[0]]
-    # "Host A" claimed the chunk before B arrived...
-    assert cache_a.try_claim(chunk_claim_key(keys))
-
-    def deliver():
-        # ...and delivers the results while B is polling.
-        for key, result in zip(keys, results):
-            cache_a.put_result(key, result)
-
-    publisher = threading.Timer(0.2, deliver)
-    publisher.start()
-    try:
-        clear_trace_cache()
-        obs.enable()
-        obs.reset()
-        b = SweepExecutor(
-            jobs=1, cache=DiskCache(root), backend="shared-store",
-            shared_timeout_s=30.0, shared_poll_s=0.01,
-        )
-        assert _stat_rows(b.run_chunks(chunks)) == reference
-    finally:
-        publisher.join()
-    counters = obs.snapshot()["counters"]
-    assert counters["executor.shared.chunks_waited"] == 1
-    assert counters["executor.shared.polls"] >= 1
-    assert counters.get("executor.shared.chunks_stolen", 0) == 0
-    assert "sim.layers_simulated" not in counters
-
-
-def test_shared_store_steals_abandoned_claims(tmp_path):
-    """A claim whose holder never delivers is stolen after the
-    timeout and computed locally — slow peers cost time, not answers."""
-    chunks = _chunks()[:1]
-    clear_trace_cache()
-    reference = _stat_rows(
-        SweepExecutor(jobs=1, backend="serial").run_chunks(chunks)
-    )
-    root = tmp_path / "shared"
-    cache = DiskCache(root)
-    from repro.runtime import chunk_claim_key
-
-    keys = [p.cache_key() for p in chunks[0]]
-    assert cache.try_claim(chunk_claim_key(keys))  # abandoned claim
-    clear_trace_cache()
-    obs.enable()
-    obs.reset()
-    b = SweepExecutor(
-        jobs=1, cache=DiskCache(root), backend="shared-store",
-        shared_timeout_s=0.05, shared_poll_s=0.01,
-    )
-    assert _stat_rows(b.run_chunks(chunks)) == reference
-    counters = obs.snapshot()["counters"]
-    obs.disable()
-    assert counters["executor.shared.chunks_stolen"] == 1
-    assert counters["executor.shared.chunks_waited"] == 1
-
-
-def test_shared_store_partitions_work_between_executors(tmp_path):
-    """Two executors over one store: claims partition the chunks —
-    whoever comes second wins none of the already-claimed ones."""
-    chunks = _chunks()
-    root = tmp_path / "shared"
-    cache = DiskCache(root)
-    from repro.runtime import chunk_claim_key
-
-    # Pre-claim the first chunk on behalf of a phantom peer, then let
-    # the local executor run: it must own the rest, steal the phantom
-    # chunk after the (tiny) timeout, and still return exact rows.
-    clear_trace_cache()
-    reference = _stat_rows(
-        SweepExecutor(jobs=1, backend="serial").run_chunks(chunks)
-    )
-    keys = [p.cache_key() for p in chunks[0]]
-    assert cache.try_claim(chunk_claim_key(keys))
-    clear_trace_cache()
-    obs.enable()
-    obs.reset()
-    executor = SweepExecutor(
-        jobs=1, cache=DiskCache(root), backend="shared-store",
-        shared_timeout_s=0.05, shared_poll_s=0.01,
-    )
-    assert _stat_rows(executor.run_chunks(chunks)) == reference
-    counters = obs.snapshot()["counters"]
-    obs.disable()
-    assert counters["executor.shared.chunks_owned"] == len(chunks) - 1
-    assert counters["executor.shared.chunks_waited"] == 1
-    assert counters["executor.shared.chunks_stolen"] == 1

@@ -1,13 +1,12 @@
-"""Sweep-path streaming dispatch (the PR 8 follow-up).
+"""Sweep-path streaming dispatch.
 
-``simulate_point(..., streaming=True)`` must route *cold fast-tier*
-points through the bounded-RSS
+The sweep executor (and ``simulate_point(..., streaming=True)``) must
+route *cold fast-tier* points through the bounded-RSS
 :func:`~repro.gpu.simulator.simulate_layer_streaming` entry — and
 ONLY those: warm traces (in-process LRU or disk store) keep the
-cheaper replay-from-store path, the analytic/event tiers cannot
-stream, and the retired loop generator cannot synthesize blocks.
-Results are bit-identical either way; the routing itself is pinned by
-the ``executor.streamed_points`` counter.
+cheaper replay-from-store path, and the analytic/event tiers cannot
+stream.  Results are bit-identical either way; the routing itself is
+pinned by the ``executor.streamed_points`` counter.
 """
 
 import dataclasses
@@ -22,11 +21,9 @@ from tests.conftest import make_spec
 from repro import obs
 from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
-from repro.gpu.kernel import TRACE_GEN_ENV
-from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache
 from repro.runtime import DiskCache, SimPoint, SweepExecutor
-from repro.runtime.executor import STREAM_ENV, _stream_cold
+from repro.runtime.executor import _stream_cold, simulate_point
 
 LAYERS = [
     make_spec(name="st-plain"),
@@ -38,9 +35,6 @@ OPTIONS = SimulationOptions(max_ctas=2, engine="fast")
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-    monkeypatch.delenv(STREAM_ENV, raising=False)
-    monkeypatch.delenv(TRACE_GEN_ENV, raising=False)
     obs.enable()
     obs.reset()
     clear_trace_cache()
@@ -82,27 +76,20 @@ def test_cold_fast_points_stream_once_per_layer(tmp_path):
         )
 
 
+def _materialised(cache):
+    """Get-or-compute every point without streaming."""
+    return [
+        simulate_point(p, cache, streaming=False) for p in _points()
+    ]
+
+
 def test_streaming_off_never_streams(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    executor = SweepExecutor(
-        jobs=1, cache=cache, backend="serial", streaming="off"
-    )
-    executor.run(_points())
-    assert _streamed() == 0
-
-
-def test_env_override_disables_streaming(tmp_path, monkeypatch):
-    monkeypatch.setenv(STREAM_ENV, "off")
-    cache = DiskCache(tmp_path / "cache")
-    SweepExecutor(jobs=1, cache=cache, backend="serial").run(_points())
+    _materialised(DiskCache(tmp_path / "cache"))
     assert _streamed() == 0
 
 
 def test_streaming_results_bit_identical(tmp_path):
-    off = SweepExecutor(
-        jobs=1, cache=DiskCache(tmp_path / "off"), backend="serial",
-        streaming="off",
-    ).run(_points())
+    off = _materialised(DiskCache(tmp_path / "off"))
     clear_trace_cache()
     obs.reset()
     on = SweepExecutor(
@@ -138,20 +125,8 @@ def test_non_fast_tiers_never_stream(tmp_path):
         assert not _stream_cold(p, cache)
 
 
-def test_loop_generator_disables_streaming(tmp_path, monkeypatch):
-    monkeypatch.setenv(TRACE_GEN_ENV, "loop")
-    cache = DiskCache(tmp_path / "cache")
-    for p in _points():
-        assert not _stream_cold(p, cache)
-
-
-def test_streaming_validation():
-    with pytest.raises(ValueError, match="streaming"):
-        SweepExecutor(streaming="sometimes")
-
-
 def test_process_workers_stream(tmp_path):
-    """The streaming flag crosses the process-pool job tuple."""
+    """Process workers stream cold points too."""
     cache = DiskCache(tmp_path / "cache")
     executor = SweepExecutor(
         jobs=2, cache=cache, backend="processes", cutover=0

@@ -13,22 +13,23 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.analytic.engine import route
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
 from repro.gpu.fastpath import (
     distinct_count,
     dominance_counts,
-    fast_path_fallback_reason,
     lru_hit_mask,
     prev_in_group,
     replay_trace_fast,
     simulate_lhb_stream,
     stable_order,
-    supports_fast_path,
 )
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
+from repro.gpu.multikernel import simulate_shared_lhb
 
 from tests.conftest import make_spec
 
@@ -264,27 +265,34 @@ class TestSimulateLhbStream:
 
 class TestSupport:
     def test_supported_configurations(self):
-        """Every fresh LHB organisation is covered — including the
-        set-associative ones that used to fall back."""
-        direct = LoadHistoryBuffer(num_entries=16, assoc=1)
-        oracle = LoadHistoryBuffer(num_entries=None)
-        wide = LoadHistoryBuffer(num_entries=16, assoc=4)
-        assert supports_fast_path(EliminationMode.BASELINE, None)
-        assert supports_fast_path(EliminationMode.BASELINE, wide)
-        assert supports_fast_path(EliminationMode.DUPLO, direct)
-        assert supports_fast_path(EliminationMode.DUPLO, oracle)
-        assert supports_fast_path(EliminationMode.WIR, direct)
-        assert supports_fast_path(EliminationMode.DUPLO, wide)
+        """Every fresh LHB organisation — set-associative ones
+        included — is answered by the fast tier by default."""
+        options = SimulationOptions(max_ctas=1)
+        for mode in EliminationMode:
+            for entries, assoc in ((16, 1), (None, 1), (16, 4), (96, 1)):
+                assert route(
+                    BASELINE_KERNEL, options, mode, entries, assoc
+                ).tier == "fast"
 
     def test_fallback_reason_covers_warm_lhb(self):
-        """The last fallback is closed: a warm buffer's residency
-        snapshot seeds the recurrence, so every configuration — warm
-        caller-supplied buffers included — runs the fast path."""
+        """A warm caller-supplied buffer (only the multi-kernel replay
+        accepts one) runs the vectorised recurrence: its residency
+        snapshot seeds the recurrence, so nothing falls back."""
+        specs = [make_spec(name="warm0"), make_spec(name="warm1", c=8)]
         warm = LoadHistoryBuffer(num_entries=16, assoc=1)
         warm.access(1, 0, dest_reg=0)
-        assert supports_fast_path(EliminationMode.DUPLO, warm)
-        assert fast_path_fallback_reason(EliminationMode.DUPLO, warm) is None
-        assert supports_fast_path(EliminationMode.BASELINE, warm)
+        obs.enable()
+        obs.reset()
+        try:
+            simulate_shared_lhb(
+                specs, lhb=warm, options=SimulationOptions(max_ctas=1)
+            )
+            assert obs.counters_with_prefix("fastpath.shared_replays") == {
+                "fastpath.shared_replays": 1
+            }
+        finally:
+            obs.disable()
+            obs.reset()
 
     def test_replay_matches_event_path_for_warm_lhb(self):
         """A warm caller-supplied buffer replays bit-identically on

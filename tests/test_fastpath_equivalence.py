@@ -2,14 +2,11 @@
 
 The acceptance bar for the vectorised replay: `dataclasses.asdict`
 equality on every counter, for every elimination mode, on real Table I
-layer traces — plus the plumbing around it (the `fast_path` switch on
-:func:`simulate_layer`, the `$REPRO_FAST_PATH` override, cache-key
-normalisation, and the `.npz` trace round-trip the disk store uses).
-
-The CI equivalence lanes run exactly this module twice, once with
-``REPRO_FAST_PATH=on`` and once with ``off``; the direct
-replay-vs-replay comparisons here are env-independent (both paths are
-called explicitly), so the lanes additionally pin the dispatch logic.
+layer traces — plus the plumbing around it (the ``engine="fast"`` /
+``"event"`` choice on :func:`simulate_layer` and the multi-kernel
+replay, the ``$REPRO_ENGINE`` override, cache-key normalisation, and
+the `.npz` trace round-trip the disk store uses).  Both exact tiers
+are selected explicitly, so every comparison here is env-independent.
 """
 
 import dataclasses
@@ -30,11 +27,7 @@ from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
 from repro.gpu.multikernel import simulate_shared_lhb
-from repro.gpu.simulator import (
-    _resolve_fast_path,
-    make_lhb,
-    simulate_layer,
-)
+from repro.gpu.simulator import make_lhb, simulate_layer
 from repro.runtime.cachekey import result_key, trace_key
 from repro.runtime.store import DiskCache
 
@@ -42,7 +35,7 @@ from repro.runtime.store import DiskCache
 @pytest.fixture(autouse=True)
 def _exact_engine(monkeypatch):
     """Fast-vs-event equivalence is meaningless under the analytic
-    tier; the engine lanes must not reroute these dispatch tests."""
+    tier; the analytic lane must not reroute these dispatch tests."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
 TABLE_I_LAYERS = [
@@ -171,105 +164,126 @@ class TestSimulateLayerSwitch:
     def test_on_off_identical_results(self):
         spec = get_layer("gan", "TC3")
         results = {}
-        for choice in ("on", "off"):
-            options = dataclasses.replace(OPTIONS, fast_path=choice)
+        for engine in ("fast", "event"):
+            options = dataclasses.replace(OPTIONS, engine=engine)
             r = simulate_layer(spec, EliminationMode.DUPLO, options=options)
-            results[choice] = r
-        on, off = results["on"], results["off"]
+            results[engine] = r
+        on, off = results["fast"], results["event"]
         assert dataclasses.asdict(on.stats) == dataclasses.asdict(off.stats)
         assert dataclasses.asdict(on.sm_stats) == dataclasses.asdict(off.sm_stats)
         assert on.cycles == off.cycles
         assert on.time_ms == off.time_ms
 
-    def test_set_associative_on_off_identical(self, monkeypatch):
-        """assoc > 1 now runs the vectorised replay under auto — and
-        both implementations agree end to end through simulate_layer.
+    def test_set_associative_on_off_identical(self):
+        """assoc > 1 runs the vectorised replay — and both exact tiers
+        agree end to end through simulate_layer.
         """
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
         spec = get_layer("gan", "TC3")
         on = simulate_layer(
             spec, EliminationMode.DUPLO, lhb_assoc=4,
-            options=dataclasses.replace(OPTIONS, fast_path="on"),
+            options=dataclasses.replace(OPTIONS, engine="fast"),
         )
         off = simulate_layer(
             spec, EliminationMode.DUPLO, lhb_assoc=4,
-            options=dataclasses.replace(OPTIONS, fast_path="off"),
+            options=dataclasses.replace(OPTIONS, engine="event"),
         )
         assert dataclasses.asdict(on.stats) == dataclasses.asdict(off.stats)
         assert on.cycles == off.cycles
 
-    def test_no_covered_config_falls_back(self, monkeypatch):
+    def test_no_covered_config_falls_back(self):
         """Every simulate_layer configuration in the matrix takes the
-        fast path under auto: a silent regression to the event replay
-        shows up as a non-zero ``fastpath.fallback`` counter."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        fast tier under auto: a silent regression to the event replay
+        shows up as an ``engine.selected.event`` counter."""
         obs.enable()
         obs.reset()
         try:
             spec = get_layer("gan", "TC3")
-            for mode, entries, assoc in [
+            matrix = [
                 (EliminationMode.BASELINE, 1024, 1),
                 (EliminationMode.DUPLO, 1024, 1),
                 (EliminationMode.DUPLO, 1024, 4),
                 (EliminationMode.DUPLO, 1024, 8),
                 (EliminationMode.DUPLO, None, 1),
                 (EliminationMode.WIR, 64, 2),
-            ]:
+            ]
+            for mode, entries, assoc in matrix:
                 simulate_layer(
                     spec, mode, lhb_entries=entries, lhb_assoc=assoc,
                     options=OPTIONS,
                 )
-            counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
-            assert counters.get("fastpath.replays", 0) > 0
+            assert obs.counters_with_prefix("engine.selected.") == {
+                "engine.selected.fast": len(matrix)
+            }
+            assert obs.snapshot()["counters"].get("fastpath.replays", 0) > 0
         finally:
             obs.reset()
             obs.disable()
 
-    def test_warm_lhb_stays_on_fast_path(self, monkeypatch):
-        """The retired fallback: a warm caller-supplied buffer now
-        seeds the recurrence, so auto keeps the fast path and the
-        ``fastpath.fallback.warm-lhb`` counter stays at zero."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    def test_warm_lhb_stays_on_fast_path(self):
+        """A warm caller-supplied buffer seeds the fast tier's
+        recurrence: the vectorised replay continues from the buffer's
+        state exactly as the event replay does."""
+        spec, trace = layer_trace("gan", "TC3")
+        warm = [make_lhb(1024, 1, 4096, True) for _ in range(2)]
+        for lhb in warm:
+            lhb.access(1, 0, dest_reg=0)
+        fast = replay_trace_fast(
+            trace, spec, TITAN_V, OPTIONS, EliminationMode.DUPLO, warm[0]
+        )
+        event = replay_trace(
+            trace, spec, TITAN_V, OPTIONS, EliminationMode.DUPLO, warm[1]
+        )
+        assert_identical(event, fast, "warm LHB")
+        assert dataclasses.asdict(warm[0].stats) == dataclasses.asdict(
+            warm[1].stats
+        )
+
+    def test_forced_on_accepts_warm_lhb(self):
+        """``engine="fast"`` on the multi-kernel replay — the one entry
+        point taking a caller's buffer — accepts a warm one."""
         warm = make_lhb(1024, 1, 4096, True)
         warm.access(1, 0, dest_reg=0)
         obs.enable()
         obs.reset()
         try:
-            assert _resolve_fast_path(
-                SimulationOptions(fast_path="auto"), EliminationMode.DUPLO,
-                warm,
+            simulate_shared_lhb(
+                [get_layer("gan", "TC3")], 1024, lhb=warm,
+                options=dataclasses.replace(OPTIONS, engine="fast"),
             )
-            counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
-            assert "fastpath.fallback.warm-lhb" not in counters, counters
+            assert obs.counters_with_prefix("fastpath.shared_replays") == {
+                "fastpath.shared_replays": 1
+            }
         finally:
             obs.reset()
             obs.disable()
 
-    def test_forced_on_accepts_warm_lhb(self):
-        warm = make_lhb(1024, 1, 4096, True)
-        warm.access(1, 0, dest_reg=0)
-        assert _resolve_fast_path(
-            SimulationOptions(fast_path="on"), EliminationMode.DUPLO, warm
-        )
-
     def test_env_override_steers_auto(self, monkeypatch):
-        lhb = make_lhb(1024, 1, 4096, True)
-        auto = SimulationOptions(fast_path="auto")
-        monkeypatch.setenv("REPRO_FAST_PATH", "off")
-        assert not _resolve_fast_path(auto, EliminationMode.DUPLO, lhb)
-        monkeypatch.setenv("REPRO_FAST_PATH", "on")
-        assert _resolve_fast_path(auto, EliminationMode.DUPLO, lhb)
+        def selected(options):
+            obs.enable()
+            obs.reset()
+            try:
+                simulate_layer(get_layer("gan", "TC3"), options=options)
+                return obs.counters_with_prefix("engine.selected.")
+            finally:
+                obs.reset()
+                obs.disable()
+
+        monkeypatch.setenv("REPRO_ENGINE", "event")
+        assert selected(OPTIONS) == {"engine.selected.event": 1}
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert selected(OPTIONS) == {"engine.selected.fast": 1}
         # Explicit options beat the environment.
-        assert not _resolve_fast_path(
-            dataclasses.replace(auto, fast_path="off"),
-            EliminationMode.DUPLO, lhb,
-        )
+        monkeypatch.setenv("REPRO_ENGINE", "event")
+        assert selected(dataclasses.replace(OPTIONS, engine="fast")) == {
+            "engine.selected.fast": 1
+        }
 
     def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            SimulationOptions(fast_path="sometimes")
+        with pytest.raises(ValueError, match="engine"):
+            SimulationOptions(engine="sometimes")
+        # The retired replay selector is gone, not silently accepted.
+        with pytest.raises(TypeError, match="fast_path"):
+            SimulationOptions(fast_path="on")
 
 
 class TestMultiKernelEquivalence:
@@ -290,8 +304,8 @@ class TestMultiKernelEquivalence:
     def test_bit_identical_shared_replay(self, network, layer):
         """Each Table I layer co-scheduled with a second kernel."""
         specs = [get_layer(network, layer), get_layer("gan", "TC3")]
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
+        on = dataclasses.replace(OPTIONS, engine="fast")
+        off = dataclasses.replace(OPTIONS, engine="event")
         s_on, l_on = self._run(specs, on, 256, 1, 128)
         s_off, l_off = self._run(specs, off, 256, 1, 128)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
@@ -307,8 +321,8 @@ class TestMultiKernelEquivalence:
         """Associativity x interleave-granularity sweep, incl. oracle
         and a chunk size coprime to the stream lengths."""
         specs = [get_layer("gan", "TC3"), get_layer("resnet", "C2")]
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
+        on = dataclasses.replace(OPTIONS, engine="fast")
+        off = dataclasses.replace(OPTIONS, engine="event")
         s_on, l_on = self._run(specs, on, entries, assoc, chunk)
         s_off, l_off = self._run(specs, off, entries, assoc, chunk)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
@@ -322,8 +336,8 @@ class TestMultiKernelEquivalence:
         one spec share no tags, so hits match the solo run only when
         capacity permits — here we just require fast == event."""
         spec = get_layer("gan", "TC3")
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
+        on = dataclasses.replace(OPTIONS, engine="fast")
+        off = dataclasses.replace(OPTIONS, engine="event")
         s_on, l_on = self._run([spec] * 3, on, 128, 2, 32)
         s_off, l_off = self._run([spec] * 3, off, 128, 2, 32)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
@@ -332,24 +346,22 @@ class TestMultiKernelEquivalence:
         for a, b in zip(s_on, s_off):
             assert (a.lookups, a.hits) == (b.lookups, b.hits)
 
-    def test_warm_lhb_stays_fast_and_matches_event(self, monkeypatch):
+    def test_warm_lhb_stays_fast_and_matches_event(self):
         """A warm shared buffer seeds the closed forms: auto keeps the
-        fast path (no fallback counted) and the result matches a pure
-        event run continued from the same state."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        fast path and the result matches a pure event run continued
+        from the same state."""
         specs = [get_layer("gan", "TC3")]
         warm_a = make_lhb(128, 1, 4096, True)
         warm_a.access(7, 0, dest_reg=0)
         warm_b = make_lhb(128, 1, 4096, True)
         warm_b.access(7, 0, dest_reg=0)
-        auto = dataclasses.replace(OPTIONS, fast_path="auto")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
+        auto = dataclasses.replace(OPTIONS, engine="auto")
+        off = dataclasses.replace(OPTIONS, engine="event")
         obs.enable()
         obs.reset()
         try:
             s_auto = simulate_shared_lhb(specs, 128, options=auto, lhb=warm_a)
             counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
             assert counters.get("fastpath.shared_replays") == 1
         finally:
             obs.reset()
@@ -397,12 +409,13 @@ class TestTraceSerialization:
 
 class TestCacheKeyNormalisation:
     def test_fast_path_choice_shares_artifacts(self):
-        """on/off/auto runs must hit the same cached trace and result."""
+        """auto/fast/event runs must hit the same cached trace and
+        result (analytic answers never reach the result cache)."""
         spec = get_layer("yolo", "C2")
         keys = set()
         rkeys = set()
-        for choice in ("auto", "on", "off"):
-            options = dataclasses.replace(OPTIONS, fast_path=choice)
+        for engine in ("auto", "fast", "event"):
+            options = dataclasses.replace(OPTIONS, engine=engine)
             keys.add(trace_key(spec, TITAN_V, BASELINE_KERNEL, options))
             rkeys.add(
                 result_key(

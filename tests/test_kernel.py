@@ -45,9 +45,13 @@ class TestGeometry:
     def test_cta_striping(self, spec):
         geom = gemm_geometry(spec)
         blocks0, total = sm_cta_blocks(geom, SMALL_KERNEL, SMALL_GPU, 0)
-        blocks1, _ = sm_cta_blocks(geom, SMALL_KERNEL, SMALL_GPU, 1)
         assert total == 1  # 72 rows -> one 128-row CTA; 16 cols -> one
-        assert len(blocks0) + len(blocks1) == total
+        assert len(blocks0) == total
+        # The grid leaves SM 1 idle: it is refused, not traced empty.
+        with pytest.raises(ValueError, match="gets no CTAs"):
+            sm_cta_blocks(geom, SMALL_KERNEL, SMALL_GPU, 1)
+        with pytest.raises(ValueError, match="representative_sm"):
+            sm_cta_blocks(geom, SMALL_KERNEL, SMALL_GPU, SMALL_GPU.num_sms)
 
 
 class TestTraceStructure:

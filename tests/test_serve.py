@@ -16,7 +16,6 @@ pinned here too: the store may never exceed ``max_bytes`` after any
 put, under a randomized put sequence, and reads refresh recency.
 """
 
-import dataclasses
 import json
 import random
 import threading
@@ -87,7 +86,12 @@ def _reference(body):
     (dict(BODY, lhb_assoc=0), "'lhb_assoc'"),
     (dict(BODY, max_ctas=0), "'max_ctas'"),
     (dict(BODY, engine="warp"), "'engine'"),
-    (dict(BODY, fast_path="maybe"), "'fast_path'"),
+    # The retired replay selector is an unknown field (the explicit id
+    # keeps the case's name from before the field was removed).
+    pytest.param(
+        dict(BODY, fast_path="maybe"), "unknown field.*'fast_path'",
+        id="body11-'fast_path'",
+    ),
     (dict(BODY, arch="kepler"), "'arch'"),
     (dict(BODY, arch=1), "'arch'"),
     (dict(BODY, frobnicate=1), "unknown field"),

@@ -156,3 +156,42 @@ class TestConvenienceApi:
             simulate_layer(s, EliminationMode.BASELINE, kernel=KERNEL,
                            options=SimulationOptions(max_ctas=1))
         assert len(sim._trace_cache) <= sim._TRACE_CACHE_LIMIT
+
+
+class TestRepresentativeSm:
+    """An invalid or idle representative SM fails loudly on every
+    tier instead of returning an all-zero layer."""
+
+    GAN_C2 = ("gan", "C2")
+
+    @pytest.mark.parametrize("engine", ["fast", "event", "analytic"])
+    def test_idle_sm_raises(self, engine):
+        from repro.conv.workloads import get_layer
+
+        # gan/C2 has fewer CTAs than SM 41: that SM gets none.
+        with pytest.raises(ValueError, match="gets no CTAs"):
+            simulate_layer(
+                get_layer(*self.GAN_C2),
+                options=SimulationOptions(
+                    representative_sm=41, max_ctas=2, engine=engine
+                ),
+            )
+
+    @pytest.mark.parametrize("sm", [500, -1])
+    def test_out_of_range_sm_raises(self, sm):
+        from repro.conv.workloads import get_layer
+
+        with pytest.raises(ValueError, match="representative_sm"):
+            simulate_layer(
+                get_layer(*self.GAN_C2),
+                options=SimulationOptions(representative_sm=sm, max_ctas=2),
+            )
+
+    def test_busy_sm_still_simulates(self):
+        from repro.conv.workloads import get_layer
+
+        result = simulate_layer(
+            get_layer(*self.GAN_C2),
+            options=SimulationOptions(representative_sm=1, max_ctas=2),
+        )
+        assert result.stats.loads_total > 0

@@ -1,16 +1,17 @@
 """Differential fuzzing and streaming invariants of trace synthesis.
 
 The closed-form columnar synthesizer (:mod:`repro.gpu.kernel`'s
-``TracePlan``) claims *bit-identical* traces to the legacy per-turn
-event loop (``REPRO_TRACE_GEN=loop``) for every configuration — and
+``TracePlan``) claims *bit-identical* traces to the per-turn event
+loop oracle (:mod:`tests.trace_oracle`) for every configuration — and
 its streaming form (:func:`~repro.gpu.kernel.iter_trace_blocks`)
 claims block boundaries are invisible: any block size concatenates to
 the same columns, replays to the same LayerStats, and persists to a
 byte-identical store sidecar.  Hypothesis hunts the corners a fixed
 matrix misses: degenerate geometries, guard-clipped warp tiles,
 ``max_ctas`` truncation (including to zero events), run-ahead values
-coprime to the k-depth, and implicit-mode staging chunks straddling
-turn boundaries.
+coprime to the k-depth, implicit-mode staging chunks straddling
+turn boundaries, and representative SMs the grid leaves idle (which
+every generator must refuse).
 
 Tier-1 runs a small number of examples per property (override with
 ``REPRO_FUZZ_EXAMPLES``); the ``slow``-marked variant goes deep in
@@ -37,7 +38,6 @@ from repro.gpu.config import (
 from repro.gpu.fastpath import replay_blocks_fast, replay_trace_fast
 from repro.gpu.kernel import (
     TRACE_BLOCK_ENV,
-    TRACE_GEN_ENV,
     generate_sm_trace,
     iter_trace_blocks,
     plan_sm_trace,
@@ -47,6 +47,7 @@ from repro.gpu.simulator import simulate_layer, simulate_layer_streaming
 from repro.runtime.store import DiskCache
 
 from tests.conftest import make_spec
+from tests.trace_oracle import generate_sm_trace_loop
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 SLOW_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES_SLOW", "300"))
@@ -54,9 +55,8 @@ SLOW_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES_SLOW", "300"))
 
 @pytest.fixture(autouse=True)
 def _no_generator_env(monkeypatch):
-    """These tests drive both generators explicitly — the environment
-    selectors must not leak in from the CI lane under test."""
-    monkeypatch.delenv(TRACE_GEN_ENV, raising=False)
+    """These tests choose block budgets explicitly — the environment
+    override must not leak in from the CI lane under test."""
     monkeypatch.delenv(TRACE_BLOCK_ENV, raising=False)
 
 
@@ -131,29 +131,42 @@ def _columns_equal(a, b, context):
     assert a.meta() == b.meta(), context
 
 
-# ----------------------------------------------------------------------
-# Vectorised synthesizer vs legacy event loop
-# ----------------------------------------------------------------------
+def _ceil_div(a, b):
+    return -(-a // b)
 
-def _legacy_loop_trace(spec, gpu, kernel, options):
-    """Generate via the legacy event loop (hypothesis forbids the
-    function-scoped monkeypatch fixture, so the env flip is inline)."""
-    os.environ[TRACE_GEN_ENV] = "loop"
-    try:
-        return generate_sm_trace(spec, gpu, kernel, options)
-    finally:
-        del os.environ[TRACE_GEN_ENV]
 
+def _idle_sm_rejected(case):
+    """True when the case's representative SM gets no CTAs — after
+    checking that the synthesizer, its plan and the loop oracle all
+    refuse it instead of returning an empty trace."""
+    spec, gpu, kernel, options = case
+    shape = spec.gemm_shape
+    grid = _ceil_div(shape.m, kernel.cta_tile_m) * _ceil_div(
+        shape.n, kernel.cta_tile_n
+    )
+    if options.representative_sm < grid:
+        return False
+    for generate in (generate_sm_trace, plan_sm_trace, generate_sm_trace_loop):
+        with pytest.raises(ValueError, match="gets no CTAs"):
+            generate(spec, gpu, kernel, options)
+    return True
+
+
+# ----------------------------------------------------------------------
+# Vectorised synthesizer vs the event-loop oracle
+# ----------------------------------------------------------------------
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(case=gen_cases())
 def test_vectorized_matches_legacy_loop(case):
-    """The tentpole bit-identity claim, fuzzed: same columns, same
+    """The synthesizer's bit-identity claim, fuzzed: same columns, same
     scalar meta, for explicit and implicit kernels, any fragment
     geometry, any run-ahead, any ``max_ctas`` truncation."""
+    if _idle_sm_rejected(case):
+        return
     spec, gpu, kernel, options = case
     vec = generate_sm_trace(spec, gpu, kernel, options)
-    loop = _legacy_loop_trace(spec, gpu, kernel, options)
+    loop = generate_sm_trace_loop(spec, gpu, kernel, options)
     _columns_equal(vec, loop, (spec.name, gpu, kernel, options))
 
 
@@ -163,6 +176,8 @@ def test_block_streaming_is_boundary_invariant(case, block):
     """Concatenating ``iter_trace_blocks`` output reproduces the
     single-shot trace for any block budget, and the closed-form
     ``event_count`` prices it exactly."""
+    if _idle_sm_rejected(case):
+        return
     spec, gpu, kernel, options = case
     full = generate_sm_trace(spec, gpu, kernel, options)
     plan = plan_sm_trace(spec, gpu, kernel, options)
@@ -192,6 +207,8 @@ def test_block_streaming_is_boundary_invariant(case, block):
 def test_streaming_replay_matches_in_memory(case, block, mode):
     """``replay_blocks_fast`` over streamed blocks equals the
     in-memory replay on every LayerStats counter."""
+    if _idle_sm_rejected(case):
+        return
     spec, gpu, kernel, options = case
     trace = generate_sm_trace(spec, gpu, kernel, options)
     plan = plan_sm_trace(spec, gpu, kernel, options)
@@ -227,7 +244,7 @@ def test_forced_block_env_reproduces_single_shot(monkeypatch):
     _columns_equal(blocked, full, "REPRO_TRACE_BLOCK=100")
 
 
-def test_gen_counters_published(monkeypatch):
+def test_gen_counters_published():
     obs.enable()
     obs.reset()
     try:
@@ -237,11 +254,6 @@ def test_gen_counters_published(monkeypatch):
         assert counters["gen.traces"] == 1
         assert counters["gen.events"] == len(trace)
         assert counters["gen.blocks"] == 1
-        assert "gen.loop_traces" not in counters
-        monkeypatch.setenv(TRACE_GEN_ENV, "loop")
-        generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL,
-                          SimulationOptions(max_ctas=1))
-        assert obs.counters_with_prefix("gen.")["gen.loop_traces"] == 1
     finally:
         obs.disable()
         obs.reset()
@@ -326,10 +338,7 @@ def test_simulate_layer_streaming_tees_into_store(tmp_path):
         SPEC, EliminationMode.DUPLO, lhb_entries=64, options=options,
         block_events=256, store=cache,
     )
-    digest = trace_key(
-        SPEC, TITAN_V, BASELINE_KERNEL,
-        dataclasses.replace(options, fast_path="auto"),
-    )
+    digest = trace_key(SPEC, TITAN_V, BASELINE_KERNEL, options)
     stored = cache.get_trace(digest)
     assert stored is not None
     full = generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL, options)
